@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-all check lint cost tsan chaos adaptive dial bench bench-native experiments examples clean doc
+.PHONY: all build test test-all check lint cost tsan chaos dial bench bench-native experiments examples clean doc
 
 all: build
 
@@ -39,15 +39,8 @@ tsan:
 	dune exec test/test_obs.exe
 	dune exec test/test_native.exe
 	dune exec test/test_combining.exe
-	dune exec test/test_adaptive.exe
 	dune exec test/test_dial.exe
 	dune exec bin/bench.exe -- --quick --max-domains 2 -o /tmp/tsan-bench.json
-
-# adaptive-dispatch smoke: the policy/differential/parallel suite plus
-# a quick bench pass over all four backends (adaptive column included)
-adaptive:
-	dune exec test/test_adaptive.exe
-	dune exec bin/bench.exe -- --quick --max-domains 2 -o /tmp/adaptive-bench.json
 
 # fault sweeps (exhaustive, simulator) + native chaos soak (~1 min)
 chaos:

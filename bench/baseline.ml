@@ -7,8 +7,9 @@
 
    Works on parsed {!Json_out.t} documents rather than [Bench_native.row]
    so both sides go through the same schema accessors; v2/v3 baselines
-   (no combining rows; no adaptive rows) still diff fine — unmatched
-   rows are counted, not errors.
+   (no combining rows) and v4 baselines (an adaptive backend that v5
+   dropped) still diff fine — unmatched rows are counted and warned
+   about, not errors.
 
    Matching is keyed through a [Hashtbl] (one pass over the baseline,
    one over the current rows) rather than a per-row [List.find_opt]
@@ -132,7 +133,9 @@ let analyze ?(threshold = default_threshold) ~baseline ~current () =
   let warnings = ref [] in
   let warn s = warnings := s :: !warnings in
   (match schema_of_doc baseline with
-   | Some ("bench-native/v2" | "bench-native/v3" | "bench-native/v4") -> ()
+   | Some
+       ( "bench-native/v2" | "bench-native/v3" | "bench-native/v4"
+       | "bench-native/v5" ) -> ()
    | Some s ->
      warn (Printf.sprintf "unrecognized schema %S; matching rows anyway" s)
    | None -> warn "no schema field; matching rows anyway");
@@ -146,8 +149,8 @@ let analyze ?(threshold = default_threshold) ~baseline ~current () =
         (Printf.sprintf "duplicate baseline key %s; first occurrence wins" k))
     d.dup_keys;
   (* asymmetric rows: visible, warn-only.  Summarized past a handful so
-     a v3 baseline diffed against a v4 run (a whole backend column of
-     new rows) stays readable. *)
+     a baseline whose backend columns differ from the run's (v3 had no
+     adaptive column, v5 dropped it) stays readable. *)
   let warn_keys what keys =
     match keys with
     | [] -> ()

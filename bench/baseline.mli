@@ -1,9 +1,9 @@
 (** Warn-only baseline diffing for bench-native trajectories: match a
     fresh sweep's JSON against a committed BENCH_NATIVE.json row-by-row
     on (structure, impl, backend, domains, read_pct) and report
-    throughput ratios.  Accepts schema v2, v3 or v4 baselines; unmatched
-    rows (e.g. adaptive rows absent from a v3 baseline) are counted,
-    never errors.
+    throughput ratios.  Accepts schema v2 to v5 baselines; unmatched
+    rows (e.g. the adaptive rows of a v4 baseline, a backend v5 no
+    longer measures) are counted and warned about, never errors.
 
     Matching goes through a [Hashtbl] built in one pass over the
     baseline — duplicated baseline keys are warned about (the first

@@ -1,11 +1,14 @@
-(* The domain-scaling benchmark behind bin/bench.exe: every int-specialized
-   implementation, boxed (Simval Atomic) vs unboxed (padded int Atomic) vs
-   flat-combining vs contention-adaptive backend, swept over domain counts
-   and read shares, with shared warmup and interleaved trials.  This is
-   where the constant-factor story of the paper's O(1)-read structures is
-   measured honestly: same algorithms, same step counts, only the
-   base-object representation (and, for the combining/adaptive backends,
-   the update submission protocol) changes.
+(* The domain-scaling benchmark behind bin/bench.exe: the int-specialized
+   implementations (all but aac-unbounded-b1, see [targets]), boxed
+   (Simval Atomic) vs unboxed (padded int Atomic) vs flat-combining
+   backend, swept over domain counts and read shares, with shared warmup
+   and interleaved trials.  This is where the constant-factor story of
+   the paper's O(1)-read structures is measured honestly: same
+   algorithms, same step counts, only the base-object representation
+   (and, for the combining backend, the update submission protocol)
+   changes.  Every closure writes through a per-domain value cursor that
+   persists across all of a cell's passes, so no trial re-times writes
+   an earlier one already made.
 
    Each cell runs three kinds of pass:
 
@@ -21,15 +24,17 @@
    - a latency pass clocking the same fused closures per batched call
      into per-domain log-bucketed histograms (all backends, so the
      percentiles compare like the throughput medians do);
-   - on the unboxed and combining backends, a metrics pass running the
-     workload through the instrumented instances of {!Harness.Instances}
-     to collect contention counts (CAS attempts/failures, refresh rounds,
-     helps, and for combining: batches, combined ops, eliminations,
-     combiner-lock acquisitions).  All passes are separate so the
-     observability layer can never bias the throughput rows.
+   - a metered pass running the workload through the registry instances
+     of {!Harness.Instances}: on the unboxed and combining backends the
+     instrumented ones, to collect contention counts (CAS
+     attempts/failures, refresh rounds, helps, and for combining:
+     batches, combined ops, eliminations, combiner-lock acquisitions);
+     on every max register also the stale-write share.  All passes are
+     separate so the observability layer can never bias the throughput
+     rows.
 
    Results are emitted both as a table (stdout) and as machine-readable
-   JSON (BENCH_NATIVE.json, schema "bench-native/v4") so future changes
+   JSON (BENCH_NATIVE.json, schema "bench-native/v5") so future changes
    have a perf trajectory to regress against (see {!Baseline}). *)
 
 type config = {
@@ -55,23 +60,23 @@ let config ?(quick = false) ?(max_domains = 4) ?seconds ?trials
 type row = {
   structure : string;
   impl : string;
-  backend : string;  (* "boxed" | "unboxed" | "combining" | "adaptive" *)
+  backend : string;  (* "boxed" | "unboxed" | "combining" *)
   domains : int;
   read_pct : int;
   mops : float;        (* median over trials *)
   trial_mops : float list;
   rsd : float;         (* relative stddev of the trials: stddev/mean *)
   oversubscribed : bool;  (* domains > recommended_domains of this host *)
-  (* adaptive dispatch (adaptive rows only; cumulative over the cell's
-     warmup + trials + latency passes, which share one instance) *)
-  epoch_flips : int option;
-  time_in_combining_pct : float option;
-  (* metered pass *)
+  stale_share : float option;
+      (* max registers: share of metered-pass writes at or below the
+         max read just before them; None on counters *)
+  (* latency pass *)
   lat_p50 : float;     (* ns per op *)
   lat_p95 : float;
   lat_p99 : float;
   lat_max : float;
   lat_samples : int;   (* batched-call samples behind the percentiles *)
+  (* metered pass *)
   metrics : Obs.Metrics.totals option;  (* None on the boxed backend *)
 }
 
@@ -115,87 +120,66 @@ let read_pattern ~read_pct =
   Array.init pattern_slots (fun i ->
       ((i + 1) * reads / pattern_slots) - (i * reads / pattern_slots) = 1)
 
-(* A batch covers exactly half the pattern ([i0] advances by [batch],
-   [i0 land batch] picks slots 0..63 or 64..127), so its read count is
-   one of two constants — from which the adaptive closures derive a
-   whole flush window's read/update split as one constant, settling
-   dispatch accounting in one {!Harness.Adaptive} [tick_many] call per
-   window instead of paying bookkeeping per op. *)
-let half_reads pattern =
-  let count lo =
-    let acc = ref 0 in
-    for j = lo to lo + batch - 1 do
-      if Array.unsafe_get pattern j then incr acc
-    done;
-    !acc
-  in
-  (count 0, count batch)
+(* The value cursor.  [run_batched] restarts [i0] at 0 on every call,
+   while a cell's structure persists across warmup, every trial and the
+   latency pass; a closure deriving its write values from [i0] alone
+   would replay values below the register's max from the second call on,
+   so later trials would time stale writes.  [with_cursor] keeps a
+   per-domain batch count that survives those calls and hands the
+   closure [m * pattern_slots + (i0 land mask)] for the domain's [m]-th
+   batch: the pattern slots (and so the read/update mix) are exactly
+   those of [i0], and every batch writes values above all the domain's
+   earlier ones.  Counts are single-writer, one 64-byte line per
+   domain. *)
+let cursor_stride = 8
 
-(* The adaptive closures pay neither [tick_many] (two seq_cst stores)
-   nor the [combining_now] cross-module call per batch — both still
-   show at sub-3ns/op.  Consecutive batches strictly alternate pattern
-   halves (the drivers advance [i0] by [batch] from 0), so a
-   [flush_batches] window's read/update split is a per-cell constant;
-   each domain only counts batches in a plain accumulator slot and,
-   every [flush_batches] batches, settles accounting with one
-   [tick_many] and refreshes its cached mode.  Slots are one 64-byte
-   line per domain (single-writer, so plain stores are race-free):
-   [d * acc_stride] = batches since flush, [+1] = cached mode (1 =
-   combining), [+2] = stale tally (algorithm-a).  The cached mode can
-   lag a flip by up to [flush_batches * batch] ops — one epoch's worth,
-   the dispatcher's own granularity — and either update path is
-   linearizable in either mode (both mutate the same structure). *)
-let acc_stride = 8
-let flush_batches = 16
+let with_cursor ~domains op =
+  let m = Array.make (domains * cursor_stride) 0 in
+  fun d i0 ->
+    let s = d * cursor_stride in
+    let b = Array.unsafe_get m s in
+    Array.unsafe_set m s (b + 1);
+    op d ((b * pattern_slots) + (i0 land mask))
 
 type kind =
   | Maxreg of Harness.Instances.maxreg_impl
   | Counter of Harness.Instances.counter_impl
 
-type backend = [ `Boxed | `Unboxed | `Combining | `Adaptive ]
+type backend = [ `Boxed | `Unboxed | `Combining ]
 
-(* [mk] returns the fused closure plus, for a live adaptive instance,
-   the report thunk ({!Harness.Adaptive.report}: current mode, epoch
-   count, flips, combining-ops share) — [None] everywhere else,
-   including the adaptive backend's create-time solo dispatch at
-   [domains = 1], where the dispatcher is compiled away entirely. *)
+(* [mk] returns the fused closure (before the value cursor) and a read
+   of the structure it drives (ReadMax, or the counter's read). *)
 type target = {
   structure : string;
   impl_name : string;
   kind : kind;
-  has_combining : bool;  (* adaptive exists exactly where combining does *)
+  has_combining : bool;
   mk :
     backend:backend ->
     n:int ->
     domains:int ->
     pattern:bool array ->
-    (int -> int -> unit) * (unit -> Harness.Adaptive.report) option;
+    (int -> int -> unit) * (unit -> int);
 }
 
 module AB = Maxreg.Algorithm_a.Make (Smem.Atomic_memory)
-module BB = Maxreg.B1_maxreg.Make (Smem.Atomic_memory)
 module CB = Maxreg.Cas_maxreg.Make (Smem.Atomic_memory)
 module FB = Counters.Farray_counter.Make (Smem.Atomic_memory)
 module NB = Counters.Naive_counter.Make (Smem.Atomic_memory)
 module AU = Maxreg.Algorithm_a.Unboxed
-module BU = Maxreg.B1_maxreg.Unboxed
 module CU = Maxreg.Cas_maxreg.Unboxed
 module FU = Counters.Farray_counter.Unboxed
 module NU = Counters.Naive_counter.Unboxed
 module AC = Harness.Combining.Alg_a
-module CC = Harness.Combining.Cas
 module FC = Harness.Combining.Farray_c
-module NC = Harness.Combining.Naive_c
-module AD = Harness.Adaptive.Alg_a
-module CD = Harness.Adaptive.Cas
-module FD = Harness.Adaptive.Farray_c
-module ND = Harness.Adaptive.Naive_c
 
-(* Max registers write strictly increasing, domain-disjoint values
-   [i * domains + d]: every write really updates (monotone streams), and
-   the CAS-based propagation paths stay ABA-free.  Note the combining
-   backend sees the same stream, so its eliminations count races lost to
-   other domains, not stale replays. *)
+(* Max registers write domain-disjoint values [i * domains + d], with
+   [i] from the value cursor: each domain's stream strictly increases
+   across every call of the closure, and the CAS-based propagation
+   paths stay ABA-free.  Across domains a write can still land at or
+   below the max another domain already installed; the metered pass
+   measures that share per row ([stale_share]), and the combining
+   backend eliminates such writes. *)
 
 let alg_a_target =
   { structure = "max-register";
@@ -205,14 +189,13 @@ let alg_a_target =
     mk =
       (fun ~backend ~n ~domains ~pattern ->
         (* One closure builder shared by the unboxed backend and the
-           d=1 combining/adaptive cells (create-time solo dispatch, see
-           Harness.Combining and Harness.Adaptive: one participating
-           domain can never contend, so those backends at domains = 1
-           *are* the plain unboxed structure).  Sharing the builder
-           means those rows run the SAME compiled loop and differ only
-           in data — a separate textual copy of an identical loop can
-           land on different code alignment and skew sub-3ns cells by
-           ~10%. *)
+           d=1 combining cells (create-time solo dispatch, see
+           Harness.Combining: one participating domain can never
+           contend, so the combining backend at domains = 1 *is* the
+           plain unboxed structure).  Sharing the builder means those
+           rows run the SAME compiled loop and differ only in data — a
+           separate textual copy of an identical loop can land on
+           different code alignment and skew sub-3ns cells by ~10%. *)
         let unboxed_cell () =
           let reg = AU.create ~n () in
           ( (fun d i0 ->
@@ -222,7 +205,7 @@ let alg_a_target =
                   ignore (AU.read_max reg : int)
                 else AU.write_max reg ~pid:d ((i * domains) + d)
               done),
-            None )
+            fun () -> AU.read_max reg )
         in
         match backend with
         | `Boxed ->
@@ -234,9 +217,9 @@ let alg_a_target =
                   ignore (AB.read_max reg : int)
                 else AB.write_max reg ~pid:d ((i * domains) + d)
               done),
-            None )
+            fun () -> AB.read_max reg )
         | `Unboxed -> unboxed_cell ()
-        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
+        | `Combining when domains = 1 -> unboxed_cell ()
         | `Combining ->
           let reg = AC.create ~n ~domains () in
           ( (fun d i0 ->
@@ -246,108 +229,16 @@ let alg_a_target =
                   ignore (AC.read_max reg : int)
                 else AC.write_max reg ~pid:d ((i * domains) + d)
               done),
-            None )
-        | `Adaptive ->
-          (* batch-granular dispatch: cached mode per batch, raw path
-             in the inner loop, accounting settled per flush window
-             (see [flush_batches] above).  The plain loop tallies stale
-             writes (value already <= max: one root load) — the signal
-             that flips this structure to combining where elimination
-             wins. *)
-          let reg = AD.create ~n ~domains () in
-          let raw = AD.unboxed reg in
-          let r0, r1 = half_reads pattern in
-          let f_reads = flush_batches / 2 * (r0 + r1) in
-          let f_updates = (flush_batches * batch) - f_reads in
-          let acc = Array.make (domains * acc_stride) 0 in
-          ( (fun d i0 ->
-              let a = d * acc_stride in
-              if Array.unsafe_get acc (a + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (AU.read_max raw : int)
-                  else AD.write_combining reg ~pid:d ((i * domains) + d)
-                done
-              else begin
-                let stale = ref 0 in
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (AU.read_max raw : int)
-                  else begin
-                    let v = (i * domains) + d in
-                    if v <= AU.read_max raw then incr stale;
-                    AU.write_max raw ~pid:d v
-                  end
-                done;
-                Array.unsafe_set acc (a + 2)
-                  (Array.unsafe_get acc (a + 2) + !stale)
-              end;
-              let b = Array.unsafe_get acc a + 1 in
-              if b = flush_batches then begin
-                AD.tick_many reg ~pid:d ~reads:f_reads ~updates:f_updates
-                  ~stale:(Array.unsafe_get acc (a + 2));
-                Array.unsafe_set acc a 0;
-                Array.unsafe_set acc (a + 2) 0;
-                Array.unsafe_set acc (a + 1)
-                  (if AD.combining_now reg then 1 else 0)
-              end
-              else Array.unsafe_set acc a b),
-            Some (fun () -> AD.report reg) )) }
-
-let b1_target =
-  { structure = "max-register";
-    impl_name = Harness.Instances.maxreg_name Harness.Instances.B1_maxreg;
-    kind = Maxreg Harness.Instances.B1_maxreg;
-    has_combining = false;  (* idempotent switch writes don't batch *)
-    mk =
-      (fun ~backend ~n ~domains ~pattern ->
-        match backend with
-        | `Boxed ->
-          ignore n;
-          let reg = BB.create () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (BB.read_max reg : int)
-                else BB.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
-        | `Unboxed ->
-          let reg = BU.create () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (BU.read_max reg : int)
-                else BU.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
-        | `Combining | `Adaptive ->
-          invalid_arg "b1-maxreg has no combining/adaptive backend") }
+            fun () -> AC.read_max reg )) }
 
 let cas_target =
   { structure = "max-register";
     impl_name = Harness.Instances.maxreg_name Harness.Instances.Cas_maxreg;
     kind = Maxreg Harness.Instances.Cas_maxreg;
-    has_combining = true;
+    has_combining = false;
     mk =
       (fun ~backend ~n ~domains ~pattern ->
         ignore n;
-        (* shared for the same code-placement reason as algorithm-a *)
-        let unboxed_cell () =
-          let reg = CU.create () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (CU.read_max reg : int)
-                else CU.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
-        in
         match backend with
         | `Boxed ->
           let reg = CB.create () in
@@ -358,55 +249,18 @@ let cas_target =
                   ignore (CB.read_max reg : int)
                 else CB.write_max reg ~pid:d ((i * domains) + d)
               done),
-            None )
-        | `Unboxed -> unboxed_cell ()
-        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining ->
-          let reg = CC.create ~domains () in
+            fun () -> CB.read_max reg )
+        | `Unboxed ->
+          let reg = CU.create () in
           ( (fun d i0 ->
               for k = 0 to batch - 1 do
                 let i = i0 + k in
                 if Array.unsafe_get pattern (i land mask) then
-                  ignore (CC.read_max reg : int)
-                else CC.write_max reg ~pid:d ((i * domains) + d)
+                  ignore (CU.read_max reg : int)
+                else CU.write_max reg ~pid:d ((i * domains) + d)
               done),
-            None )
-        | `Adaptive ->
-          (* batch-granular dispatch, as for algorithm-a; no stale
-             tally (default_cas disables that trigger — a stale plain
-             cas write is already one cheap load) *)
-          let reg = CD.create ~domains () in
-          let raw = CD.unboxed reg in
-          let r0, r1 = half_reads pattern in
-          let f_reads = flush_batches / 2 * (r0 + r1) in
-          let f_updates = (flush_batches * batch) - f_reads in
-          let acc = Array.make (domains * acc_stride) 0 in
-          ( (fun d i0 ->
-              let a = d * acc_stride in
-              if Array.unsafe_get acc (a + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (CU.read_max raw : int)
-                  else CD.write_combining reg ~pid:d ((i * domains) + d)
-                done
-              else
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (CU.read_max raw : int)
-                  else CU.write_max raw ~pid:d ((i * domains) + d)
-                done;
-              let b = Array.unsafe_get acc a + 1 in
-              if b = flush_batches then begin
-                CD.tick_many reg ~pid:d ~reads:f_reads ~updates:f_updates
-                  ~stale:0;
-                Array.unsafe_set acc a 0;
-                Array.unsafe_set acc (a + 1)
-                  (if CD.combining_now reg then 1 else 0)
-              end
-              else Array.unsafe_set acc a b),
-            Some (fun () -> CD.report reg) )) }
+            fun () -> CU.read_max reg )
+        | `Combining -> invalid_arg "cas-loop has no combining backend") }
 
 let farray_target =
   { structure = "counter";
@@ -425,7 +279,7 @@ let farray_target =
                   ignore (FU.read c : int)
                 else FU.increment c ~pid:d
               done),
-            None )
+            fun () -> FU.read c )
         in
         match backend with
         | `Boxed ->
@@ -436,9 +290,9 @@ let farray_target =
                   ignore (FB.read c : int)
                 else FB.increment c ~pid:d
               done),
-            None )
+            fun () -> FB.read c )
         | `Unboxed -> unboxed_cell ()
-        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
+        | `Combining when domains = 1 -> unboxed_cell ()
         | `Combining ->
           let c = FC.create ~n ~domains () in
           ( (fun d i0 ->
@@ -447,58 +301,15 @@ let farray_target =
                   ignore (FC.read c : int)
                 else FC.increment c ~pid:d
               done),
-            None )
-        | `Adaptive ->
-          (* batch-granular dispatch, as for algorithm-a; counter
-             increments are never stale *)
-          let c = FD.create ~n ~domains () in
-          let raw = FD.unboxed c in
-          let r0, r1 = half_reads pattern in
-          let f_reads = flush_batches / 2 * (r0 + r1) in
-          let f_updates = (flush_batches * batch) - f_reads in
-          let acc = Array.make (domains * acc_stride) 0 in
-          ( (fun d i0 ->
-              let a = d * acc_stride in
-              if Array.unsafe_get acc (a + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (FU.read raw : int)
-                  else FD.increment_combining c ~pid:d
-                done
-              else
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (FU.read raw : int)
-                  else FU.increment raw ~pid:d
-                done;
-              let b = Array.unsafe_get acc a + 1 in
-              if b = flush_batches then begin
-                FD.tick_many c ~pid:d ~reads:f_reads ~updates:f_updates;
-                Array.unsafe_set acc a 0;
-                Array.unsafe_set acc (a + 1)
-                  (if FD.combining_now c then 1 else 0)
-              end
-              else Array.unsafe_set acc a b),
-            Some (fun () -> FD.report c) )) }
+            fun () -> FC.read c )) }
 
 let naive_target =
   { structure = "counter";
     impl_name = Harness.Instances.counter_name Harness.Instances.Naive_counter;
     kind = Counter Harness.Instances.Naive_counter;
-    has_combining = true;  (* the measured control: protocol cost, no win *)
+    has_combining = false;
     mk =
-      (fun ~backend ~n ~domains ~pattern ->
-        (* shared for the same code-placement reason as algorithm-a *)
-        let unboxed_cell () =
-          let c = NU.create ~n () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                if Array.unsafe_get pattern ((i0 + k) land mask) then
-                  ignore (NU.read c : int)
-                else NU.increment c ~pid:d
-              done),
-            None )
-        in
+      (fun ~backend ~n ~domains:_ ~pattern ->
         match backend with
         | `Boxed ->
           let c = NB.create ~n in
@@ -508,170 +319,84 @@ let naive_target =
                   ignore (NB.read c : int)
                 else NB.increment c ~pid:d
               done),
-            None )
-        | `Unboxed -> unboxed_cell ()
-        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining ->
-          let c = NC.create ~n ~domains () in
+            fun () -> NB.read c )
+        | `Unboxed ->
+          let c = NU.create ~n () in
           ( (fun d i0 ->
               for k = 0 to batch - 1 do
                 if Array.unsafe_get pattern ((i0 + k) land mask) then
-                  ignore (NC.read c : int)
-                else NC.increment c ~pid:d
+                  ignore (NU.read c : int)
+                else NU.increment c ~pid:d
               done),
-            None )
-        | `Adaptive ->
-          (* batch-granular dispatch, as for algorithm-a *)
-          let c = ND.create ~n ~domains () in
-          let raw = ND.unboxed c in
-          let r0, r1 = half_reads pattern in
-          let f_reads = flush_batches / 2 * (r0 + r1) in
-          let f_updates = (flush_batches * batch) - f_reads in
-          let acc = Array.make (domains * acc_stride) 0 in
-          ( (fun d i0 ->
-              let a = d * acc_stride in
-              if Array.unsafe_get acc (a + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (NU.read raw : int)
-                  else ND.increment_combining c ~pid:d
-                done
-              else
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (NU.read raw : int)
-                  else NU.increment raw ~pid:d
-                done;
-              let b = Array.unsafe_get acc a + 1 in
-              if b = flush_batches then begin
-                ND.tick_many c ~pid:d ~reads:f_reads ~updates:f_updates;
-                Array.unsafe_set acc a 0;
-                Array.unsafe_set acc (a + 1)
-                  (if ND.combining_now c then 1 else 0)
-              end
-              else Array.unsafe_set acc a b),
-            Some (fun () -> ND.report c) )) }
+            fun () -> NU.read c )
+        | `Combining -> invalid_arg "naive has no combining backend") }
 
-let targets =
-  [ alg_a_target; b1_target; cas_target; farray_target; naive_target ]
+(* aac-unbounded-b1 is not swept: its register materializes tree nodes
+   lazily, one path per distinct value written (B1_maxreg), so under the
+   fresh per-domain stream a cell holds about 300 bytes for every write
+   it has ever made.  With every cell alive at once, its 24 cells
+   exhausted an 8 GB host by the fourth trial round. *)
+let targets = [ alg_a_target; cas_target; farray_target; naive_target ]
 
 let backends_of (t : target) : backend list =
-  if t.has_combining then [ `Boxed; `Unboxed; `Combining; `Adaptive ]
+  if t.has_combining then [ `Boxed; `Unboxed; `Combining ]
   else [ `Boxed; `Unboxed ]
 
-(* The metered closure: the same workload through the instrumented
+let timed_cell kind ~backend ~n ~domains ~read_pct =
+  let t = List.find (fun t -> t.kind = kind) targets in
+  let op, read = t.mk ~backend ~n ~domains ~pattern:(read_pattern ~read_pct) in
+  (with_cursor ~domains op, read)
+
+(* The metered closures: the same workload through the instrumented
    registry instances, recording [Op_read] per read here (the instance
    wrappers record [Op_update]; reads carry no pid so the domain-correct
-   shard is only known at this call site). *)
-let metered_op ~metrics ~kind ~n ~domains ~pattern =
-  let bound = 1 lsl 20 in
-  match kind with
-  | Maxreg impl ->
-    let inst =
-      Option.get (Harness.Instances.maxreg_native_metered ~metrics ~n ~bound impl)
-    in
-    fun d i0 ->
-      for k = 0 to batch - 1 do
-        let i = i0 + k in
-        if Array.unsafe_get pattern (i land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Maxreg.Max_register.read_max () : int)
-        end
-        else inst.Maxreg.Max_register.write_max ~pid:d ((i * domains) + d)
-      done
-  | Counter impl ->
-    let inst =
-      Option.get (Harness.Instances.counter_native_metered ~metrics ~n ~bound impl)
-    in
-    fun d i0 ->
-      for k = 0 to batch - 1 do
-        if Array.unsafe_get pattern ((i0 + k) land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Counters.Counter.read () : int)
-        end
-        else inst.Counters.Counter.increment ~pid:d
-      done
+   shard is only known at this call site).  The max-register closure
+   also tallies, per domain on its own line, writes ([d * cursor_stride])
+   and stale writes ([+ 1]: the value was at or below the max read just
+   before the write).  With the cursor no domain ever replays its own
+   values, so at one domain the only stale write is the very first (0,
+   the initial max), and at more the share measures how often another
+   domain's writes had already overtaken this one. *)
+let maxreg_metered_op ~metrics ~(inst : Maxreg.Max_register.instance)
+    ~domains ~pattern =
+  let tally = Array.make (domains * cursor_stride) 0 in
+  let op d i0 =
+    let s = d * cursor_stride in
+    for k = 0 to batch - 1 do
+      let i = i0 + k in
+      if Array.unsafe_get pattern (i land mask) then begin
+        Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
+        ignore (inst.read_max () : int)
+      end
+      else begin
+        let v = (i * domains) + d in
+        Array.unsafe_set tally s (Array.unsafe_get tally s + 1);
+        if v <= inst.read_max () then
+          Array.unsafe_set tally (s + 1) (Array.unsafe_get tally (s + 1) + 1);
+        inst.write_max ~pid:d v
+      end
+    done
+  in
+  let stale_share () =
+    let writes = ref 0 and stale = ref 0 in
+    for d = 0 to domains - 1 do
+      writes := !writes + tally.(d * cursor_stride);
+      stale := !stale + tally.((d * cursor_stride) + 1)
+    done;
+    if !writes = 0 then 0. else float_of_int !stale /. float_of_int !writes
+  in
+  (with_cursor ~domains op, stale_share)
 
-(* Same, over the combining registry: returns the arena alongside so the
-   caller can flush {!Smem.Combine.stats} into [metrics] after the run
-   ({!Obs.Metrics.record_combine_stats}). *)
-let metered_combining_op ~metrics ~kind ~n ~domains ~pattern =
-  let bound = 1 lsl 20 in
-  match kind with
-  | Maxreg impl ->
-    let inst, arena =
-      Option.get
-        (Harness.Instances.maxreg_native_combining_metered ~metrics ~n ~domains
-           ~bound impl)
-    in
-    let op d i0 =
-      for k = 0 to batch - 1 do
-        let i = i0 + k in
-        if Array.unsafe_get pattern (i land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Maxreg.Max_register.read_max () : int)
-        end
-        else inst.Maxreg.Max_register.write_max ~pid:d ((i * domains) + d)
-      done
-    in
-    (op, arena)
-  | Counter impl ->
-    let inst, arena =
-      Option.get
-        (Harness.Instances.counter_native_combining_metered ~metrics ~n ~domains
-           ~bound impl)
-    in
-    let op d i0 =
+let counter_metered_op ~metrics ~(inst : Counters.Counter.instance) ~domains
+    ~pattern =
+  with_cursor ~domains (fun d i0 ->
       for k = 0 to batch - 1 do
         if Array.unsafe_get pattern ((i0 + k) land mask) then begin
           Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Counters.Counter.read () : int)
+          ignore (inst.read () : int)
         end
-        else inst.Counters.Counter.increment ~pid:d
-      done
-    in
-    (op, arena)
-
-(* Same, over the adaptive registry: [Op_read] recorded here feeds both
-   the emitted metrics and the dispatcher's read-share signal (the
-   metered adaptive instance shares this handle).  Returns the arena for
-   the combine-stats flush. *)
-let metered_adaptive_op ~metrics ~kind ~n ~domains ~pattern =
-  let bound = 1 lsl 20 in
-  match kind with
-  | Maxreg impl ->
-    let inst, arena, _report =
-      Option.get
-        (Harness.Instances.maxreg_native_adaptive_metered ~metrics ~n ~domains
-           ~bound impl)
-    in
-    let op d i0 =
-      for k = 0 to batch - 1 do
-        let i = i0 + k in
-        if Array.unsafe_get pattern (i land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Maxreg.Max_register.read_max () : int)
-        end
-        else inst.Maxreg.Max_register.write_max ~pid:d ((i * domains) + d)
-      done
-    in
-    (op, arena)
-  | Counter impl ->
-    let inst, arena, _report =
-      Option.get
-        (Harness.Instances.counter_native_adaptive_metered ~metrics ~n ~domains
-           ~bound impl)
-    in
-    let op d i0 =
-      for k = 0 to batch - 1 do
-        if Array.unsafe_get pattern ((i0 + k) land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Counters.Counter.read () : int)
-        end
-        else inst.Counters.Counter.increment ~pid:d
-      done
-    in
-    (op, arena)
+        else inst.increment ~pid:d
+      done)
 
 (* Trials can in principle produce NaN (a degenerate measurement window);
    drop non-finite samples before sorting — NaN has no consistent order
@@ -703,7 +428,6 @@ let backend_name : backend -> string = function
   | `Boxed -> "boxed"
   | `Unboxed -> "unboxed"
   | `Combining -> "combining"
-  | `Adaptive -> "adaptive"
 
 (* Structures are sized once for the sweep's largest domain count (the
    usual benchmark convention: a structure built for P processes, of which
@@ -725,10 +449,7 @@ type cell = {
   c_backend : backend;
   c_domains : int;
   c_read_pct : int;
-  c_pattern : bool array;
   c_op : int -> int -> unit;
-  c_report : (unit -> Harness.Adaptive.report) option;
-      (* the timed adaptive instance's dispatch report; None elsewhere *)
   mutable c_trials : float list;  (* reverse trial order *)
 }
 
@@ -742,92 +463,96 @@ let make_cells cfg =
             (fun domains ->
               List.map
                 (fun read_pct ->
-                  let pattern = read_pattern ~read_pct in
-                  let op, report = target.mk ~backend ~n ~domains ~pattern in
+                  let op, _read =
+                    timed_cell target.kind ~backend ~n ~domains ~read_pct
+                  in
                   { c_target = target;
                     c_backend = backend;
                     c_domains = domains;
                     c_read_pct = read_pct;
-                    c_pattern = pattern;
                     c_op = op;
-                    c_report = report;
                     c_trials = [] })
                 cfg.read_shares)
             cfg.domain_counts)
         (backends_of target))
     targets
 
-(* Latency + metrics epilogue for one cell, after all trial rounds. *)
+(* The metered pass of one cell: the cell's workload through the
+   instrumented registry instance of its backend, separate from the
+   latency pass so the record sites and the instances' indirect calls
+   never sit inside the clocked window.  Returns the contention metrics
+   (None on the boxed backend, which has no instrumented twin) and, on
+   max registers, the stale-write share — measured on boxed rows too,
+   through the plain boxed instance. *)
+let metered_pass ~cfg (c : cell) =
+  let n = structure_n cfg and bound = 1 lsl 20 and domains = c.c_domains in
+  let pattern = read_pattern ~read_pct:c.c_read_pct in
+  let metrics = Obs.Metrics.create ~domains () in
+  let run op =
+    ignore
+      (Harness.Throughput.run_batched ~domains ~seconds:cfg.seconds ~batch
+         ~op ()
+        : float)
+  in
+  let arena, stale =
+    match c.c_target.kind, c.c_backend with
+    | Counter _, `Boxed -> (None, None)
+    | Maxreg impl, backend ->
+      let inst, arena =
+        match backend with
+        | `Boxed -> (Harness.Instances.maxreg_native ~n ~bound impl, None)
+        | `Unboxed ->
+          ( Option.get
+              (Harness.Instances.maxreg_native_metered ~metrics ~n ~bound impl),
+            None )
+        | `Combining ->
+          let inst, arena =
+            Option.get
+              (Harness.Instances.maxreg_native_combining_metered ~metrics ~n
+                 ~domains ~bound impl)
+          in
+          (inst, Some arena)
+      in
+      let op, stale_share = maxreg_metered_op ~metrics ~inst ~domains ~pattern in
+      run op;
+      (arena, Some (stale_share ()))
+    | Counter impl, `Unboxed ->
+      let inst =
+        Option.get
+          (Harness.Instances.counter_native_metered ~metrics ~n ~bound impl)
+      in
+      run (counter_metered_op ~metrics ~inst ~domains ~pattern);
+      (None, None)
+    | Counter impl, `Combining ->
+      let inst, arena =
+        Option.get
+          (Harness.Instances.counter_native_combining_metered ~metrics ~n
+             ~domains ~bound impl)
+      in
+      run (counter_metered_op ~metrics ~inst ~domains ~pattern);
+      (Some arena, None)
+  in
+  Option.iter
+    (fun a ->
+      Obs.Metrics.record_combine_stats metrics ~domain:0 (Smem.Combine.stats a))
+    arena;
+  let metrics =
+    if c.c_backend = `Boxed then None else Some (Obs.Metrics.totals metrics)
+  in
+  (metrics, stale)
+
+(* Latency + metered epilogue for one cell, after all trial rounds. *)
 let finish_cell ~cfg ~recommended (c : cell) =
-  let n = structure_n cfg in
   let hists = Array.init c.c_domains (fun _ -> Obs.Histogram.create ()) in
   ignore
     (Harness.Throughput.run_batched_latency ~domains:c.c_domains
        ~seconds:cfg.seconds ~batch ~hist:hists ~op:c.c_op ()
       : float);
-  (* Metrics pass (unboxed and combining): the same workload through the
-     instrumented registry instances.  Separate from the latency pass so
-     the record sites and the instances' indirect calls never sit inside
-     the clocked window. *)
-  let metrics =
-    match c.c_backend with
-    | `Boxed -> None
-    | `Unboxed ->
-      let metrics = Obs.Metrics.create ~domains:c.c_domains () in
-      let op_m =
-        metered_op ~metrics ~kind:c.c_target.kind ~n ~domains:c.c_domains
-          ~pattern:c.c_pattern
-      in
-      ignore
-        (Harness.Throughput.run_batched ~domains:c.c_domains
-           ~seconds:cfg.seconds ~batch ~op:op_m ()
-          : float);
-      Some (Obs.Metrics.totals metrics)
-    | `Combining ->
-      let metrics = Obs.Metrics.create ~domains:c.c_domains () in
-      let op_m, arena =
-        metered_combining_op ~metrics ~kind:c.c_target.kind ~n
-          ~domains:c.c_domains ~pattern:c.c_pattern
-      in
-      ignore
-        (Harness.Throughput.run_batched ~domains:c.c_domains
-           ~seconds:cfg.seconds ~batch ~op:op_m ()
-          : float);
-      Obs.Metrics.record_combine_stats metrics ~domain:0
-        (Smem.Combine.stats arena);
-      Some (Obs.Metrics.totals metrics)
-    | `Adaptive ->
-      let metrics = Obs.Metrics.create ~domains:c.c_domains () in
-      let op_m, arena =
-        metered_adaptive_op ~metrics ~kind:c.c_target.kind ~n
-          ~domains:c.c_domains ~pattern:c.c_pattern
-      in
-      ignore
-        (Harness.Throughput.run_batched ~domains:c.c_domains
-           ~seconds:cfg.seconds ~batch ~op:op_m ()
-          : float);
-      Obs.Metrics.record_combine_stats metrics ~domain:0
-        (Smem.Combine.stats arena);
-      Some (Obs.Metrics.totals metrics)
-  in
+  let metrics, stale_share = metered_pass ~cfg c in
   let h =
     Array.fold_left
       (fun acc h -> Obs.Histogram.merge acc h)
       (Obs.Histogram.create ()) hists
-  in
-  (* Dispatch report of the TIMED adaptive instance (cumulative over
-     warmup + trials + the latency pass, which share it).  A solo
-     adaptive cell (domains = 1, create-time dispatch to the plain
-     structure) reports zero flips and an all-plain ops share — true by
-     construction. *)
-  let epoch_flips, time_in_combining_pct =
-    match c.c_report with
-    | Some r ->
-      let rep = r () in
-      ( Some rep.Harness.Adaptive.epoch_flips,
-        Some rep.Harness.Adaptive.combining_ops_pct )
-    | None ->
-      if c.c_backend = `Adaptive then (Some 0, Some 0.) else (None, None)
   in
   let trial_mops = List.rev c.c_trials in
   { structure = c.c_target.structure;
@@ -839,8 +564,7 @@ let finish_cell ~cfg ~recommended (c : cell) =
     trial_mops;
     rsd = rsd trial_mops;
     oversubscribed = c.c_domains > recommended;
-    epoch_flips;
-    time_in_combining_pct;
+    stale_share;
     lat_p50 = Obs.Histogram.percentile h 50.;
     lat_p95 = Obs.Histogram.percentile h 95.;
     lat_p99 = Obs.Histogram.percentile h 99.;
@@ -902,14 +626,14 @@ let table rows =
   Harness.Tables.render
     ~title:
       "Native domain-scaling throughput: boxed (Simval Atomic) vs unboxed \
-       (padded int Atomic) vs flat-combining vs adaptive backends (Mops/s, \
-       median of interleaved trials; rsd = stddev/mean, '!' over 0.25; '*' \
-       marks oversubscribed domain counts; latency percentiles and CAS \
-       failure rate from the metered pass; flips/comb% = adaptive epoch \
-       flips and combining-mode ops share of the timed instance)"
+       (padded int Atomic) vs flat-combining backends (Mops/s, median of \
+       interleaved trials; rsd = stddev/mean, '!' over 0.25; '*' marks \
+       oversubscribed domain counts; latency percentiles from the latency \
+       pass; CAS failure rate and stale% = max-register writes at or below \
+       the max read just before them, from the metered pass)"
     ~header:
       [ "structure"; "impl"; "backend"; "domains"; "read%"; "Mops/s"; "rsd";
-        "p50ns"; "p99ns"; "cas-fail%"; "flips"; "comb%" ]
+        "p50ns"; "p99ns"; "cas-fail%"; "stale%" ]
     (List.map
        (fun (r : row) ->
          [ r.structure; r.impl; r.backend;
@@ -923,15 +647,12 @@ let table rows =
             | None -> "-"
             | Some m ->
               Printf.sprintf "%.1f" (100. *. Obs.Metrics.cas_failure_rate m));
-           (match r.epoch_flips with
+           (match r.stale_share with
             | None -> "-"
-            | Some f -> string_of_int f);
-           (match r.time_in_combining_pct with
-            | None -> "-"
-            | Some p -> Printf.sprintf "%.0f" p) ])
+            | Some s -> Printf.sprintf "%.1f" (100. *. s)) ])
        rows)
 
-let schema_version = "bench-native/v4"
+let schema_version = "bench-native/v5"
 
 let metrics_json (m : Obs.Metrics.totals) =
   Obs.Json_out.Obj
@@ -988,14 +709,10 @@ let to_json ~cfg rows =
                        (List.map (fun m -> Json_out.Float m) r.trial_mops) );
                    ("rsd", Json_out.Float r.rsd);
                    ("oversubscribed", Json_out.Bool r.oversubscribed);
-                   ( "epoch_flips",
-                     match r.epoch_flips with
+                   ( "stale_share",
+                     match r.stale_share with
                      | None -> Json_out.Null
-                     | Some f -> Json_out.Int f );
-                   ( "time_in_combining_pct",
-                     match r.time_in_combining_pct with
-                     | None -> Json_out.Null
-                     | Some p -> Json_out.Float p );
+                     | Some s -> Json_out.Float s );
                    ( "latency_ns",
                      Json_out.Obj
                        [ ("p50", Json_out.Float r.lat_p50);

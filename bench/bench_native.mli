@@ -1,14 +1,15 @@
 (** The domain-scaling benchmark behind [bin/bench.exe]: max registers
-    and counters over four backends — boxed (Simval Atomic), unboxed
-    (padded int Atomic), flat-combining ({!Harness.Combining} over a
-    {!Smem.Combine} arena), and contention-adaptive
-    ({!Harness.Adaptive}, which flips between the plain and combining
-    update paths at epoch boundaries) — swept over domain counts and
-    read shares.
+    and counters over three backends — boxed (Simval Atomic), unboxed
+    (padded int Atomic) and flat-combining ({!Harness.Combining} over a
+    {!Smem.Combine} arena, for algorithm-a and the f-array counter) —
+    swept over domain counts and read shares.
     All cells are built up front and their throughput trials run in
     interleaved rounds so host drift lands evenly; rows are medians with
-    a relative-stddev noise figure.  Latency percentiles and contention
-    metrics come from separate metered passes so the timed loops stay
+    a relative-stddev noise figure.  Every cell writes through a
+    per-domain value cursor that persists across its warmup, trials and
+    latency pass, so each trial writes values no earlier pass wrote.
+    Latency percentiles, contention metrics and the max registers'
+    stale-write share come from separate passes so the timed loops stay
     unperturbed. *)
 
 type config
@@ -28,6 +29,27 @@ val config :
     grid. *)
 
 type row
+
+type kind =
+  | Maxreg of Harness.Instances.maxreg_impl
+  | Counter of Harness.Instances.counter_impl
+
+type backend = [ `Boxed | `Unboxed | `Combining ]
+
+val timed_cell :
+  kind ->
+  backend:backend ->
+  n:int ->
+  domains:int ->
+  read_pct:int ->
+  (int -> int -> unit) * (unit -> int)
+(** [timed_cell kind ~backend ~n ~domains ~read_pct] builds one sweep
+    cell: the closure its trials time ([op d i0] runs one batch as
+    domain [d]; {!Harness.Throughput.run_batched} restarts [i0] at 0 on
+    every call, and the closure's value cursor carries on regardless)
+    and a read of the structure it drives (ReadMax, or the counter's
+    read).  Raises [Not_found] for an implementation the sweep does not
+    measure and [Invalid_argument] for a backend it lacks. *)
 
 val sweep : ?progress:(string -> unit) -> config -> row list
 (** Run the full sweep; [progress] receives oversubscription warnings
@@ -49,8 +71,9 @@ val table : row list -> string
 (** Rendered throughput/latency table. *)
 
 val to_json : cfg:config -> row list -> Json_out.t
-(** The machine-readable trajectory (schema "bench-native/v4": adds the
-    adaptive backend and its per-row [epoch_flips] /
-    [time_in_combining_pct] fields to v3's combining backend, per-row
-    [rsd]/[oversubscribed] and combiner metrics) consumed by
+(** The machine-readable trajectory (schema "bench-native/v5": v4 minus
+    the adaptive backend and its [epoch_flips] /
+    [time_in_combining_pct] fields, plus a per-row [stale_share] — the
+    max registers' measured share of metered-pass writes at or below the
+    max read just before them, [null] on counters) consumed by
     EXPERIMENTS.md, the CI smoke job and {!Baseline}. *)

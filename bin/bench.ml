@@ -5,11 +5,11 @@
            [--read-shares 0,50,90,99]
 
    Prints the throughput table and writes the machine-readable trajectory
-   (schema "bench-native/v4": median throughput with rsd noise figure,
-   latency percentiles from the metered pass, contention metrics for the
+   (schema "bench-native/v5": median throughput with rsd noise figure,
+   latency percentiles from the latency pass, contention metrics for the
    unboxed backend, combiner metrics for the flat-combining backend and
-   epoch-flip/combining-share fields for the adaptive backend)
-   used by EXPERIMENTS.md and the CI smoke job.  With [--baseline] the
+   the stale-write share of every max-register row) used by
+   EXPERIMENTS.md and the CI smoke job.  With [--baseline] the
    fresh rows are diffed against a previously written trajectory —
    warn-only: regressions are reported, never fatal. *)
 
@@ -107,7 +107,7 @@ let baseline =
        & info [ "baseline" ] ~docv:"FILE"
            ~doc:
              "Diff the fresh rows against a previously written trajectory \
-              (schema v2, v3 or v4); report regressions, warn-only.")
+              (schema v2 to v5); report regressions, warn-only.")
 
 let max_domains =
   Arg.(value & opt int 4
@@ -132,8 +132,8 @@ let cmd =
   Cmd.v
     (Cmd.info "bench" ~version:"1.0"
        ~doc:
-         "Domain-scaling throughput of the boxed, unboxed, flat-combining \
-          and contention-adaptive native backends (PODC'14 reproduction).")
+         "Domain-scaling throughput of the boxed, unboxed and flat-combining \
+          native backends (PODC'14 reproduction).")
     Term.(const run $ dial $ quick $ out $ baseline $ max_domains $ seconds
           $ trials $ read_shares)
 

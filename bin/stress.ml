@@ -301,20 +301,6 @@ let stress kind impl_name procs readers seeds value_range trace_file faults_str 
    monotone snapshot scans) where complete histories would be far beyond
    the checker's reach. *)
 
-(* Flip-forcing adaptive policy for chaos runs: the combining bar is 0
-   (every epoch wants in) and the benefit bar 10 (no epoch earns its
-   keep), so the dispatcher oscillates — maximal stress on mixed-mode
-   windows.  Bursts use it as-is (epoch every 2 updates); the scale
-   runs stretch the epoch to 64 updates. *)
-let thrash_policy =
-  { Harness.Adaptive.Policy.epoch_ops = 2;
-    hysteresis = 1;
-    min_updates = 1;
-    update_share_min = 0.;
-    cas_fail_min = 0.;
-    stale_min = 2.;
-    benefit_min = 10. }
-
 let chaos ~seed ~ops =
   let domains = 4 in
   let failures = ref [] in
@@ -350,24 +336,14 @@ let chaos ~seed ~ops =
       (* the flat-combining backends, injection at op boundaries: storms
          can park a domain right after it published to its arena slot or
          released the combiner lock *)
-      List.iter
-        (fun impl ->
-          let reg, _arena =
-            Option.get (Harness.Chaos.maxreg_combining c ~n:3 ~domains:3 impl)
-          in
-          let h =
-            Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg
-          in
-          if
-            not
-              (Linearize.Checker.check
-                 (module Linearize.Spec.Max_register)
-                 ~n:3 h)
-          then
-            fail "combining %s burst (seed %d) not linearizable"
-              (Harness.Instances.maxreg_name impl)
-              s)
-        [ Harness.Instances.Algorithm_a; Harness.Instances.Cas_maxreg ];
+      let creg, _arena =
+        Option.get
+          (Harness.Chaos.maxreg_combining c ~n:3 ~domains:3
+             Harness.Instances.Algorithm_a)
+      in
+      let h = Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 creg in
+      if not (Linearize.Checker.check (module Linearize.Spec.Max_register) ~n:3 h)
+      then fail "combining maxreg burst (seed %d) not linearizable" s;
       let ccnt, _arena =
         Option.get
           (Harness.Chaos.counter_combining c ~n:3 ~domains:3
@@ -375,46 +351,7 @@ let chaos ~seed ~ops =
       in
       let h = Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8 ccnt in
       if not (Linearize.Checker.check (module Linearize.Spec.Counter) ~n:3 h)
-      then fail "combining counter burst (seed %d) not linearizable" s;
-      (* the adaptive backends, same op-boundary seam: default policies
-         first (dispatch live, flips rare at burst scale)... *)
-      List.iter
-        (fun impl ->
-          let reg, _arena, _report =
-            Option.get (Harness.Chaos.maxreg_adaptive c ~n:3 ~domains:3 impl)
-          in
-          let h =
-            Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg
-          in
-          if
-            not
-              (Linearize.Checker.check
-                 (module Linearize.Spec.Max_register)
-                 ~n:3 h)
-          then
-            fail "adaptive %s burst (seed %d) not linearizable"
-              (Harness.Instances.maxreg_name impl)
-              s)
-        [ Harness.Instances.Algorithm_a; Harness.Instances.Cas_maxreg ];
-      let acnt, _arena, _report =
-        Option.get
-          (Harness.Chaos.counter_adaptive c ~n:3 ~domains:3
-             Harness.Instances.Farray_counter)
-      in
-      let h = Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8 acnt in
-      if not (Linearize.Checker.check (module Linearize.Spec.Counter) ~n:3 h)
-      then fail "adaptive counter burst (seed %d) not linearizable" s;
-      (* ...then a thrashing policy (epoch every 2 updates, hysteresis 1,
-         unreachable benefit bar) so the mode flips INSIDE the burst and
-         storms land astride the epoch lock *)
-      let treg, _handle =
-        Harness.Instances.alg_a_native_adaptive ~policy:thrash_policy ~n:3
-          ~domains:3 ()
-      in
-      let treg = Harness.Chaos.instrument_maxreg c treg in
-      let h = Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 treg in
-      if not (Linearize.Checker.check (module Linearize.Spec.Max_register) ~n:3 h)
-      then fail "adaptive thrashing burst (seed %d) not linearizable" s)
+      then fail "combining counter burst (seed %d) not linearizable" s)
     burst_seeds;
   (* invariant runs at scale, production injection rates *)
   let c = Harness.Chaos.config ~metrics ~seed () in
@@ -521,42 +458,6 @@ let chaos ~seed ~ops =
   let expect = (per_domain * domains) + (domains - 1) in
   if creg.read_max () <> expect then
     fail "combining final maximum %d, expected %d" (creg.read_max ()) expect;
-  (* adaptive invariant runs at scale with a flip-forcing policy: exact
-     totals and maxima must survive hundreds of mixed-mode windows *)
-  let flip_policy =
-    { thrash_policy with Harness.Adaptive.Policy.epoch_ops = 64 }
-  in
-  let acnt, achandle =
-    Harness.Instances.farray_c_native_adaptive ~policy:flip_policy ~n:domains
-      ~domains ()
-  in
-  let acnt = Harness.Chaos.instrument_counter c acnt in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        for _ = 1 to per_domain do
-          acnt.increment ~pid
-        done)
-  in
-  if acnt.read () <> domains * per_domain then
-    fail "adaptive counter total %d, expected %d" (acnt.read ())
-      (domains * per_domain);
-  let areg, ahandle =
-    Harness.Instances.alg_a_native_adaptive ~policy:flip_policy ~n:domains
-      ~domains ()
-  in
-  let areg = Harness.Chaos.instrument_maxreg c areg in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        for v = 1 to per_domain do
-          areg.write_max ~pid ((v * domains) + pid)
-        done)
-  in
-  if areg.read_max () <> expect then
-    fail "adaptive final maximum %d, expected %d" (areg.read_max ()) expect;
-  let areport = Harness.Adaptive.Alg_a.report ahandle in
-  let acreport = Harness.Adaptive.Farray_c.report achandle in
-  if areport.Harness.Adaptive.epoch_flips = 0 then
-    fail "adaptive maxreg never flipped under the flip-forcing policy";
   Obs.Metrics.record_combine_stats metrics ~domain:0
     (Smem.Combine.stats cnt_arena);
   Obs.Metrics.record_combine_stats metrics ~domain:0
@@ -566,19 +467,13 @@ let chaos ~seed ~ops =
     "chaos seed %d: %d bursts checked, %d ops/structure over %d domains\n\
      injected: %d yield storms, %d gc pressure events, %d stalls\n\
      combining (scale runs): %d ops in %d batches (max %d), %d eliminations, \
-     %d lock acquisitions\n\
-     adaptive (scale runs): maxreg %d flips over %d epochs (%.1f%% combining), \
-     counter %d flips over %d epochs (%.1f%% combining)\n"
+     %d lock acquisitions\n"
     seed
-    (10 * List.length burst_seeds)
+    (5 * List.length burst_seeds)
     (domains * per_domain) domains t.Obs.Metrics.fault_yields
     t.Obs.Metrics.fault_gcs t.Obs.Metrics.fault_stalls
     t.Obs.Metrics.combined_ops t.Obs.Metrics.batches t.Obs.Metrics.batch_max
-    t.Obs.Metrics.eliminations t.Obs.Metrics.combiner_locks
-    areport.Harness.Adaptive.epoch_flips areport.Harness.Adaptive.epochs
-    areport.Harness.Adaptive.combining_ops_pct
-    acreport.Harness.Adaptive.epoch_flips acreport.Harness.Adaptive.epochs
-    acreport.Harness.Adaptive.combining_ops_pct;
+    t.Obs.Metrics.eliminations t.Obs.Metrics.combiner_locks;
   match List.rev !failures with
   | [] ->
     print_endline "no violations";

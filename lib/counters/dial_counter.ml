@@ -81,31 +81,10 @@ module Unboxed = struct
     let c = if c = bot then 0 else c in
     F.update fa ~leaf (c + 1)
 
-  (* Batched increment, mirroring {!Farray_counter.Unboxed.add}: absorb
-     [k] at the caller's own leaf with one in-block propagation. *)
-  let add t ~pid k =
-    if k < 0 then invalid_arg "Dial_counter.add: negative k";
-    let fa = t.blocks.(pid / t.bsize) in
-    let leaf = pid mod t.bsize in
-    let c = F.read_leaf fa leaf in
-    let c = if c = bot then 0 else c in
-    F.update fa ~leaf (c + k)
-
   let increment_metered t ~metrics ~pid =
     let fa = t.blocks.(pid / t.bsize) in
     let leaf = pid mod t.bsize in
     let c = F.read_leaf fa leaf in
     let c = if c = bot then 0 else c in
     F.update_metered fa ~metrics ~domain:pid ~leaf (c + 1)
-
-  let add_metered t ~metrics ~pid k =
-    if not metrics.Obs.Metrics.enabled then add t ~pid k
-    else begin
-      if k < 0 then invalid_arg "Dial_counter.add: negative k";
-      let fa = t.blocks.(pid / t.bsize) in
-      let leaf = pid mod t.bsize in
-      let c = F.read_leaf fa leaf in
-      let c = if c = bot then 0 else c in
-      F.update_metered fa ~metrics ~domain:pid ~leaf (c + k)
-    end
 end

@@ -31,10 +31,5 @@ module Unboxed : sig
   (** [increment] with refresh rounds and CAS outcomes recorded under
       shard [pid]; free with {!Obs.Metrics.disabled}. *)
 
-  val add : t -> pid:int -> int -> unit
-  (** [add t ~pid k]: absorb a batch of [k] at the caller's own leaf
-      with one in-block propagation (the combining layer's apply). *)
-
-  val add_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
   val read : t -> int
 end

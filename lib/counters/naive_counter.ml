@@ -46,18 +46,6 @@ module Unboxed = struct
     let cell = t.cells.(pid) in
     Atomic.set cell (Atomic.get cell + 1)
 
-  (* Batched increment for the combining layer's control backend: the
-     counter value is the sum over cells, so a combiner may absorb a
-     whole batch into its own (still single-writer) cell.  For this
-     structure combining is expected to LOSE — an increment is already
-     one write to an owned line — which is exactly why the control
-     exists (see EXPERIMENTS.md). *)
-  let add t ~pid k =
-    if pid < 0 || pid >= t.n then invalid_arg "Naive_counter.add: bad pid";
-    if k < 0 then invalid_arg "Naive_counter.add: negative k";
-    let cell = t.cells.(pid) in
-    Atomic.set cell (Atomic.get cell + k)
-
   let read t =
     let total = ref 0 in
     for i = 0 to t.n - 1 do

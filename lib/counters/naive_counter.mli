@@ -19,10 +19,5 @@ module Unboxed : sig
 
   val create : ?padded:bool -> n:int -> unit -> t
   val increment : t -> pid:int -> unit
-
-  val add : t -> pid:int -> int -> unit
-  (** [add t ~pid k] adds [k] to the caller's own cell — the combining
-      layer's apply (the counter value is the sum over cells). *)
-
   val read : t -> int
 end

@@ -191,21 +191,6 @@ let counter_combining cfg ~n ~domains impl =
     (fun (inst, arena) -> (instrument_counter cfg inst, arena))
     (Instances.counter_native_combining ~n ~domains ~bound:(1 lsl 30) impl)
 
-(* Adaptive backends get the same op-boundary seam; the injection also
-   lands astride epoch boundaries, so storms can park a domain right as
-   it flips the mode cell or while others race the epoch lock. *)
-
-let maxreg_adaptive cfg ~n ~domains impl =
-  Option.map
-    (fun (inst, arena, report) -> (instrument_maxreg cfg inst, arena, report))
-    (Instances.maxreg_native_adaptive ~n ~domains ~bound:(1 lsl 30) impl)
-
-let counter_adaptive cfg ~n ~domains impl =
-  Option.map
-    (fun (inst, arena, report) ->
-      (instrument_counter cfg inst, arena, report))
-    (Instances.counter_native_adaptive ~n ~domains ~bound:(1 lsl 30) impl)
-
 (* {1 Linearizability bursts} *)
 
 let check_burst_size ~domains ~ops_per_domain =

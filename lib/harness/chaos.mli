@@ -119,22 +119,6 @@ val counter_combining :
   config -> n:int -> domains:int -> Instances.counter_impl ->
   (Counters.Counter.instance * Smem.Combine.t) option
 
-val maxreg_adaptive :
-  config -> n:int -> domains:int -> Instances.maxreg_impl ->
-  (Maxreg.Max_register.instance * Smem.Combine.t *
-   (unit -> Adaptive.report))
-  option
-(** {!Instances.maxreg_native_adaptive} with op-boundary injection —
-    the dice also land astride epoch boundaries, stressing mode flips
-    and the epoch lock; [None] exactly when the implementation has no
-    combining layer. *)
-
-val counter_adaptive :
-  config -> n:int -> domains:int -> Instances.counter_impl ->
-  (Counters.Counter.instance * Smem.Combine.t *
-   (unit -> Adaptive.report))
-  option
-
 (** {1 Linearizability bursts}
 
     Run a small burst of operations (at most 62 in total — the checker's

@@ -9,12 +9,9 @@
      combiner's domain id — the tree structures absorb a whole batch at
      the combiner's own leaf, one traversal per batch;
    - the *fast path*, which must keep uncontended ops at the plain
-     backend's cost: cas-loop tries its single read + CAS before touching
-     the arena; the tree structures (whose root CAS cannot be retried
-     soundly outside propagate) try the combiner lock first and apply
-     directly on success; the naive counter is the deliberate control —
-     an increment is already one write to an owned line, so combining
-     can only add overhead, and its rows quantify the protocol's cost;
+     backend's cost: the tree structures (whose root CAS cannot be
+     retried soundly outside propagate) try the combiner lock first and
+     apply directly on success;
    - the *solo* shortcut: [domains = 1] means no other domain can ever
      contend, so every unmetered op short-circuits to a DIRECT call of
      the plain unboxed operation — no elimination check, no stat tally,
@@ -37,9 +34,7 @@
    outside lib/smem. *)
 
 module AU = Maxreg.Algorithm_a.Unboxed
-module CU = Maxreg.Cas_maxreg.Unboxed
 module FU = Counters.Farray_counter.Unboxed
-module NU = Counters.Naive_counter.Unboxed
 
 let imax a b = if a >= b then a else b
 
@@ -85,48 +80,6 @@ module Alg_a = struct
     else Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply value
 end
 
-(* {1 CAS-loop max register} *)
-
-module Cas = struct
-  type t = {
-    reg : CU.t;
-    arena : Smem.Combine.t;
-    apply : int -> int -> unit;
-    solo : bool;
-  }
-
-  (* The combiner replays the full retry loop for the combined value:
-     still lock-free, but contended retries now cost one loop per batch
-     instead of one per op. *)
-  let create ?spin ~domains () =
-    let reg = CU.create () in
-    { reg;
-      arena = Smem.Combine.create ?spin ~domains ~combine:imax ();
-      apply = (fun d v -> CU.write_max reg ~pid:d v);
-      solo = domains = 1 }
-
-  let create_metered ?spin ~metrics ~domains () =
-    let reg = CU.create () in
-    { reg;
-      arena = Smem.Combine.create ?spin ~domains ~combine:imax ();
-      apply = (fun d v -> CU.write_max_metered reg ~metrics ~pid:d v);
-      solo = false }
-
-  let arena t = t.arena
-  let[@inline] read_max t = CU.read_max t.reg
-
-  (* Uncontended fast path: exactly the plain backend's read + CAS.
-     Only a lost race (write_once = 2) pays the arena. *)
-  let[@inline] write_max t ~pid value =
-    if value < 0 then invalid_arg "Combining.Cas.write_max: negative value";
-    if t.solo then CU.write_max t.reg ~pid value
-    else
-      let r = CU.write_once t.reg value in
-      if r = 0 then Smem.Combine.record_elimination t.arena ~domain:pid
-      else if r = 2 then
-        Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply value
-end
-
 (* {1 F-array counter} *)
 
 module Farray_c = struct
@@ -159,36 +112,5 @@ module Farray_c = struct
      Add k — one tree traversal instead of k. *)
   let[@inline] increment t ~pid =
     if t.solo then FU.increment t.c ~pid
-    else Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply 1
-end
-
-(* {1 Naive counter — the control} *)
-
-module Naive_c = struct
-  type t = {
-    c : NU.t;
-    arena : Smem.Combine.t;
-    apply : int -> int -> unit;
-    solo : bool;
-  }
-
-  let create ?spin ~n ~domains () =
-    let c = NU.create ~n () in
-    { c;
-      arena = Smem.Combine.create ?spin ~domains ~combine:( + ) ();
-      apply = (fun d k -> NU.add c ~pid:d k);
-      solo = domains = 1 }
-
-  let arena t = t.arena
-  let[@inline] read t = NU.read t.c
-
-  (* Routed through the full protocol on purpose (except solo — a
-     domains = 1 control would only measure the wrapper): a naive
-     increment is already a single write to an owned padded line, so
-     the arena can only add cost — these rows are the measured control
-     for what the protocol itself costs when there is no contention to
-     save. *)
-  let[@inline] increment t ~pid =
-    if t.solo then NU.increment t.c ~pid
     else Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply 1
 end

@@ -36,19 +36,6 @@ module Alg_a : sig
   val write_max : t -> pid:int -> int -> unit
 end
 
-module Cas : sig
-  type t
-
-  val create : ?spin:int -> domains:int -> unit -> t
-
-  val create_metered :
-    ?spin:int -> metrics:Obs.Metrics.t -> domains:int -> unit -> t
-
-  val arena : t -> Smem.Combine.t
-  val read_max : t -> int
-  val write_max : t -> pid:int -> int -> unit
-end
-
 module Farray_c : sig
   type t
 
@@ -57,15 +44,6 @@ module Farray_c : sig
   val create_metered :
     ?spin:int -> metrics:Obs.Metrics.t -> n:int -> domains:int -> unit -> t
 
-  val arena : t -> Smem.Combine.t
-  val read : t -> int
-  val increment : t -> pid:int -> unit
-end
-
-module Naive_c : sig
-  type t
-
-  val create : ?spin:int -> n:int -> domains:int -> unit -> t
   val arena : t -> Smem.Combine.t
   val read : t -> int
   val increment : t -> pid:int -> unit

@@ -289,9 +289,12 @@ let counter_native_metered ~metrics ~n ~bound impl :
    the arena's slot count: every [pid] passed to an operation must be in
    [0 .. domains-1].  [None] exactly for the implementations with no
    combining layer: the AAC constructions (no unboxed specialization),
-   B1 (idempotent switch writes — no per-op propagation to batch), and
-   the literal-line-16 ablation (kept pure as the paper-faithful bug
-   exhibit). *)
+   B1 (idempotent switch writes — no per-op propagation to batch), the
+   literal-line-16 ablation (kept pure as the paper-faithful bug
+   exhibit), and cas-loop and the naive counter: a one-CAS write and a
+   one-store increment leave the arena no traversal to save, and on no
+   multi-domain bench cell did combining beat their plain backends by
+   1.10x (EXPERIMENTS.md). *)
 
 let maxreg_native_combining ~n ~domains ~bound impl :
     (Maxreg.Max_register.instance * Smem.Combine.t) option =
@@ -303,13 +306,7 @@ let maxreg_native_combining ~n ~domains ~bound impl :
       ( { Maxreg.Max_register.read_max = (fun () -> Combining.Alg_a.read_max t);
           write_max = (fun ~pid v -> Combining.Alg_a.write_max t ~pid v) },
         Combining.Alg_a.arena t )
-  | Cas_maxreg ->
-    let t = Combining.Cas.create ~domains () in
-    Some
-      ( { Maxreg.Max_register.read_max = (fun () -> Combining.Cas.read_max t);
-          write_max = (fun ~pid v -> Combining.Cas.write_max t ~pid v) },
-        Combining.Cas.arena t )
-  | Algorithm_a_literal | B1_maxreg | Aac_maxreg -> None
+  | Algorithm_a_literal | B1_maxreg | Aac_maxreg | Cas_maxreg -> None
 
 let counter_native_combining ~n ~domains ~bound impl :
     (Counters.Counter.instance * Smem.Combine.t) option =
@@ -322,14 +319,7 @@ let counter_native_combining ~n ~domains ~bound impl :
             (fun ~pid -> Combining.Farray_c.increment t ~pid);
           read = (fun () -> Combining.Farray_c.read t) },
         Combining.Farray_c.arena t )
-  | Naive_counter ->
-    let t = Combining.Naive_c.create ~n ~domains () in
-    Some
-      ( { Counters.Counter.increment =
-            (fun ~pid -> Combining.Naive_c.increment t ~pid);
-          read = (fun () -> Combining.Naive_c.read t) },
-        Combining.Naive_c.arena t )
-  | Aac_counter | Snapshot_counter _ -> None
+  | Aac_counter | Naive_counter | Snapshot_counter _ -> None
 
 (* Metered combining: [Op_update] per update via the usual wrapper, CAS
    and refresh counts recorded by the [_metered] apply under the
@@ -349,14 +339,7 @@ let maxreg_native_combining_metered ~metrics ~n ~domains ~bound impl :
             { read_max = (fun () -> Combining.Alg_a.read_max t);
               write_max = (fun ~pid v -> Combining.Alg_a.write_max t ~pid v) },
           Combining.Alg_a.arena t )
-    | Cas_maxreg ->
-      let t = Combining.Cas.create_metered ~metrics ~domains () in
-      Some
-        ( meter_maxreg ~metrics
-            { read_max = (fun () -> Combining.Cas.read_max t);
-              write_max = (fun ~pid v -> Combining.Cas.write_max t ~pid v) },
-          Combining.Cas.arena t )
-    | Algorithm_a_literal | B1_maxreg | Aac_maxreg -> None
+    | Algorithm_a_literal | B1_maxreg | Aac_maxreg | Cas_maxreg -> None
 
 let counter_native_combining_metered ~metrics ~n ~domains ~bound impl :
     (Counters.Counter.instance * Smem.Combine.t) option =
@@ -371,155 +354,11 @@ let counter_native_combining_metered ~metrics ~n ~domains ~bound impl :
             { increment = (fun ~pid -> Combining.Farray_c.increment t ~pid);
               read = (fun () -> Combining.Farray_c.read t) },
           Combining.Farray_c.arena t )
-    | Naive_counter ->
-      (* the control has no CAS to meter: op counts only *)
-      Option.map
-        (fun (inst, arena) -> (meter_counter ~metrics inst, arena))
-        (counter_native_combining ~n ~domains ~bound impl)
-    | Aac_counter | Snapshot_counter _ -> None
-
-(* {1 Contention-adaptive native constructors}
-
-   One underlying unboxed structure behind {!Adaptive}'s epoch-driven
-   dispatcher: updates run the plain lock-free path until the sampled
-   signals (CAS failure rate, elimination/batching benefit, read share)
-   say the flat-combining side of the tradeoff wins, and flip back when
-   it stops earning its keep — with hysteresis, so the dispatcher can't
-   thrash at a crossover.  Reads are always direct.  The per-structure
-   constructors return the adaptive handle (arena, control, report);
-   the impl-keyed ones mirror the combining constructors for the bench,
-   returning the arena plus a report thunk.  [None] exactly where the
-   combining constructors return [None]. *)
-
-let alg_a_native_adaptive ?policy ~n ~domains () =
-  let t = Adaptive.Alg_a.create ?policy ~n ~domains () in
-  ( { Maxreg.Max_register.read_max = (fun () -> Adaptive.Alg_a.read_max t);
-      write_max = (fun ~pid v -> Adaptive.Alg_a.write_max t ~pid v) },
-    t )
-
-let alg_a_native_adaptive_metered ?policy ~metrics ~n ~domains () =
-  let t = Adaptive.Alg_a.create_metered ?policy ~metrics ~n ~domains () in
-  ( meter_maxreg ~metrics
-      { read_max = (fun () -> Adaptive.Alg_a.read_max t);
-        write_max = (fun ~pid v -> Adaptive.Alg_a.write_max t ~pid v) },
-    t )
-
-let cas_native_adaptive ?policy ~domains () =
-  let t = Adaptive.Cas.create ?policy ~domains () in
-  ( { Maxreg.Max_register.read_max = (fun () -> Adaptive.Cas.read_max t);
-      write_max = (fun ~pid v -> Adaptive.Cas.write_max t ~pid v) },
-    t )
-
-let cas_native_adaptive_metered ?policy ~metrics ~domains () =
-  let t = Adaptive.Cas.create_metered ?policy ~metrics ~domains () in
-  ( meter_maxreg ~metrics
-      { read_max = (fun () -> Adaptive.Cas.read_max t);
-        write_max = (fun ~pid v -> Adaptive.Cas.write_max t ~pid v) },
-    t )
-
-let farray_c_native_adaptive ?policy ~n ~domains () =
-  let t = Adaptive.Farray_c.create ?policy ~n ~domains () in
-  ( { Counters.Counter.increment =
-        (fun ~pid -> Adaptive.Farray_c.increment t ~pid);
-      read = (fun () -> Adaptive.Farray_c.read t) },
-    t )
-
-let farray_c_native_adaptive_metered ?policy ~metrics ~n ~domains () =
-  let t = Adaptive.Farray_c.create_metered ?policy ~metrics ~n ~domains () in
-  ( meter_counter ~metrics
-      { increment = (fun ~pid -> Adaptive.Farray_c.increment t ~pid);
-        read = (fun () -> Adaptive.Farray_c.read t) },
-    t )
-
-let naive_c_native_adaptive ?policy ~n ~domains () =
-  let t = Adaptive.Naive_c.create ?policy ~n ~domains () in
-  ( { Counters.Counter.increment =
-        (fun ~pid -> Adaptive.Naive_c.increment t ~pid);
-      read = (fun () -> Adaptive.Naive_c.read t) },
-    t )
-
-let naive_c_native_adaptive_metered ?policy ~metrics ~n ~domains () =
-  let t = Adaptive.Naive_c.create_metered ?policy ~metrics ~n ~domains () in
-  ( meter_counter ~metrics
-      { increment = (fun ~pid -> Adaptive.Naive_c.increment t ~pid);
-        read = (fun () -> Adaptive.Naive_c.read t) },
-    t )
-
-let maxreg_native_adaptive ~n ~domains ~bound impl :
-    (Maxreg.Max_register.instance * Smem.Combine.t * (unit -> Adaptive.report))
-    option =
-  ignore bound;
-  match impl with
-  | Algorithm_a ->
-    let inst, t = alg_a_native_adaptive ~n ~domains () in
-    Some
-      (inst, Adaptive.Alg_a.arena t, fun () -> Adaptive.Alg_a.report t)
-  | Cas_maxreg ->
-    let inst, t = cas_native_adaptive ~domains () in
-    Some (inst, Adaptive.Cas.arena t, fun () -> Adaptive.Cas.report t)
-  | Algorithm_a_literal | B1_maxreg | Aac_maxreg -> None
-
-let counter_native_adaptive ~n ~domains ~bound impl :
-    (Counters.Counter.instance * Smem.Combine.t * (unit -> Adaptive.report))
-    option =
-  ignore bound;
-  match impl with
-  | Farray_counter ->
-    let inst, t = farray_c_native_adaptive ~n ~domains () in
-    Some
-      (inst, Adaptive.Farray_c.arena t, fun () -> Adaptive.Farray_c.report t)
-  | Naive_counter ->
-    let inst, t = naive_c_native_adaptive ~n ~domains () in
-    Some
-      (inst, Adaptive.Naive_c.arena t, fun () -> Adaptive.Naive_c.report t)
-  | Aac_counter | Snapshot_counter _ -> None
-
-(* A disabled handle falls back to the unmetered adaptive constructor —
-   which builds its own private enabled handle for signal collection
-   (the dispatcher cannot steer blind). *)
-
-let maxreg_native_adaptive_metered ~metrics ~n ~domains ~bound impl :
-    (Maxreg.Max_register.instance * Smem.Combine.t * (unit -> Adaptive.report))
-    option =
-  if not (Obs.Metrics.enabled metrics) then
-    maxreg_native_adaptive ~n ~domains ~bound impl
-  else
-    match impl with
-    | Algorithm_a ->
-      let inst, t = alg_a_native_adaptive_metered ~metrics ~n ~domains () in
-      Some
-        (inst, Adaptive.Alg_a.arena t, fun () -> Adaptive.Alg_a.report t)
-    | Cas_maxreg ->
-      let inst, t = cas_native_adaptive_metered ~metrics ~domains () in
-      Some (inst, Adaptive.Cas.arena t, fun () -> Adaptive.Cas.report t)
-    | Algorithm_a_literal | B1_maxreg | Aac_maxreg -> None
-
-let counter_native_adaptive_metered ~metrics ~n ~domains ~bound impl :
-    (Counters.Counter.instance * Smem.Combine.t * (unit -> Adaptive.report))
-    option =
-  if not (Obs.Metrics.enabled metrics) then
-    counter_native_adaptive ~n ~domains ~bound impl
-  else
-    match impl with
-    | Farray_counter ->
-      let inst, t =
-        farray_c_native_adaptive_metered ~metrics ~n ~domains ()
-      in
-      Some
-        ( inst,
-          Adaptive.Farray_c.arena t,
-          fun () -> Adaptive.Farray_c.report t )
-    | Naive_counter ->
-      let inst, t = naive_c_native_adaptive_metered ~metrics ~n ~domains () in
-      Some
-        ( inst,
-          Adaptive.Naive_c.arena t,
-          fun () -> Adaptive.Naive_c.report t )
-    | Aac_counter | Snapshot_counter _ -> None
+    | Aac_counter | Naive_counter | Snapshot_counter _ -> None
 
 (* {1 Tradeoff-dial constructors}
 
-   The Dial_counter / Dial_maxreg family (DESIGN.md §15) is keyed by a
+   The Dial_counter / Dial_maxreg family (DESIGN.md §14) is keyed by a
    {!Treeprim.Dial.t} rather than a [counter_impl] case: a dial point is
    a parameter of one construction, not a new algorithm, and threading
    it through the impl enums would force every all_counters consumer

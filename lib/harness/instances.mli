@@ -140,7 +140,8 @@ val counter_native_metered :
     {!Smem.Combine.stats}.  [domains] sizes the arena: every [pid]
     passed to an operation must be in [0 .. domains-1] (with
     [domains = 1] the arena is bypassed).  [None] for implementations
-    with no combining layer (AAC, B1, the literal-line-16 ablation).
+    with no combining layer (AAC, B1, the literal-line-16 ablation,
+    cas-loop and the naive counter).
 
     The [_metered] variants add [Op_update] per update and route the
     combiner's apply through the [_metered] structure entry points (CAS
@@ -166,94 +167,6 @@ val counter_native_combining_metered :
   metrics:Obs.Metrics.t ->
   n:int -> domains:int -> bound:int -> counter_impl ->
   (Counters.Counter.instance * Smem.Combine.t) option
-
-(** {1 Contention-adaptive native constructors}
-
-    One underlying unboxed structure behind {!Adaptive}'s epoch-driven
-    dispatcher (DESIGN.md §13): updates run the plain lock-free path
-    until the sampled per-epoch signals (CAS failure rate,
-    elimination/batching benefit, observed read share) favor the
-    flat-combining side of the paper's tradeoff, and flip back when the
-    arena stops earning its keep — with hysteresis, so the dispatcher
-    cannot thrash at a crossover.  Reads are always direct.
-
-    The per-structure constructors return the instance together with
-    the {!Adaptive} handle (arena, control and {!Adaptive.report}
-    access); the impl-keyed constructors mirror the combining ones for
-    the bench, returning the arena plus a report thunk, and are [None]
-    exactly where the combining constructors are.  The [_metered]
-    variants share the caller's metrics handle for both signal
-    collection and observability (it must be private to the instance),
-    add [Op_update] per update, and keep full dispatch at
-    [domains = 1]; a disabled handle falls back to the unmetered
-    constructor, which builds a private enabled handle — the dispatcher
-    cannot steer blind. *)
-
-val alg_a_native_adaptive :
-  ?policy:Adaptive.Policy.params ->
-  n:int -> domains:int -> unit ->
-  Maxreg.Max_register.instance * Adaptive.Alg_a.t
-
-val alg_a_native_adaptive_metered :
-  ?policy:Adaptive.Policy.params ->
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> unit ->
-  Maxreg.Max_register.instance * Adaptive.Alg_a.t
-
-val cas_native_adaptive :
-  ?policy:Adaptive.Policy.params ->
-  domains:int -> unit ->
-  Maxreg.Max_register.instance * Adaptive.Cas.t
-
-val cas_native_adaptive_metered :
-  ?policy:Adaptive.Policy.params ->
-  metrics:Obs.Metrics.t ->
-  domains:int -> unit ->
-  Maxreg.Max_register.instance * Adaptive.Cas.t
-
-val farray_c_native_adaptive :
-  ?policy:Adaptive.Policy.params ->
-  n:int -> domains:int -> unit ->
-  Counters.Counter.instance * Adaptive.Farray_c.t
-
-val farray_c_native_adaptive_metered :
-  ?policy:Adaptive.Policy.params ->
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> unit ->
-  Counters.Counter.instance * Adaptive.Farray_c.t
-
-val naive_c_native_adaptive :
-  ?policy:Adaptive.Policy.params ->
-  n:int -> domains:int -> unit ->
-  Counters.Counter.instance * Adaptive.Naive_c.t
-
-val naive_c_native_adaptive_metered :
-  ?policy:Adaptive.Policy.params ->
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> unit ->
-  Counters.Counter.instance * Adaptive.Naive_c.t
-
-val maxreg_native_adaptive :
-  n:int -> domains:int -> bound:int -> maxreg_impl ->
-  (Maxreg.Max_register.instance * Smem.Combine.t * (unit -> Adaptive.report))
-  option
-
-val counter_native_adaptive :
-  n:int -> domains:int -> bound:int -> counter_impl ->
-  (Counters.Counter.instance * Smem.Combine.t * (unit -> Adaptive.report))
-  option
-
-val maxreg_native_adaptive_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> bound:int -> maxreg_impl ->
-  (Maxreg.Max_register.instance * Smem.Combine.t * (unit -> Adaptive.report))
-  option
-
-val counter_native_adaptive_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> bound:int -> counter_impl ->
-  (Counters.Counter.instance * Smem.Combine.t * (unit -> Adaptive.report))
-  option
 
 (** {1 Tradeoff-dial constructors}
 

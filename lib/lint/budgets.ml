@@ -89,9 +89,6 @@ let default =
         row [ "Cas_maxreg"; "Unboxed"; "write_max_metered" ]
           (Unbounded "lock-free CAS retry loop")
           "metered variant of the not-wait-free retry loop";
-        row [ "Cas_maxreg"; "Unboxed"; "write_once" ] (Const 2)
-          "single CAS attempt for the combining fast path: one load, one \
-           CAS";
         (* counters (E2 / Theorem 1 & Corollary 2) *)
         row [ "Naive_counter"; "Make"; "increment" ] (Const 2)
           "single-writer cell bump: read own cell + write";
@@ -99,8 +96,6 @@ let default =
           "collect of all N cells";
         row [ "Naive_counter"; "Unboxed"; "increment" ] (Const 2)
           "single-writer cell bump (unboxed)";
-        row [ "Naive_counter"; "Unboxed"; "add" ] (Const 2)
-          "batched bump: still one read + one write of the own cell";
         row [ "Naive_counter"; "Unboxed"; "read" ] Linear
           "collect of all N cells (unboxed)";
         row [ "Aac_counter"; "Make"; "increment" ] Polylog
@@ -135,9 +130,6 @@ let default =
           "dial counter read (unboxed): f <= N block-root loads";
         row [ "Dial_counter"; "Unboxed"; "increment" ] Log
           "dial counter increment (unboxed): O(log(N/f))";
-        row [ "Dial_counter"; "Unboxed"; "add" ] Log
-          "batched dial increment: one leaf update + one in-block \
-           propagation";
         row [ "Dial_counter"; "Unboxed"; "increment_metered" ] Log
           "metered dial increment: instrumentation excluded from the \
            model";

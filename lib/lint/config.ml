@@ -63,12 +63,7 @@ let default =
            deterministic dice, domain spawning and the shared stamp
            clock — submodule-granular so raw atomics anywhere else in
            chaos.ml still get flagged *)
-        Module_path [ "Chaos"; "Inject" ];
-        (* the adaptive dispatcher's controller: padded mode cell and
-           epoch lock, single-writer per-domain tick cells — submodule-
-           granular so the structure modules in adaptive.ml must go
-           through Ctl rather than touching atomics directly *)
-        Module_path [ "Adaptive"; "Ctl" ] ];
+        Module_path [ "Chaos"; "Inject" ] ];
     (* R2: the libraries holding the paper's algorithms.  An unbounded
        loop there that never re-reads shared memory can spin forever on
        stale state — the syntactic complement of E9's liveness audit. *)
@@ -136,41 +131,7 @@ let default =
         { qual = [ "Combine"; "popcount" ]; mode = Body };
         { qual = [ "Combine"; "apply_batch" ]; mode = Body };
         { qual = [ "Combine"; "wait_or_combine" ]; mode = Body };
-        { qual = [ "Combine"; "submit" ]; mode = Body };
-        (* the adaptive dispatcher's per-update path: the mode check,
-           the tick, and the four structure fast paths — the epoch
-           advance itself is the deliberately untargeted rare path
-           (it folds stats records and may allocate) *)
-        { qual = [ "Adaptive"; "Ctl"; "combining" ]; mode = Body };
-        { qual = [ "Adaptive"; "Ctl"; "tick" ]; mode = Body };
-        { qual = [ "Adaptive"; "Ctl"; "note_stale" ]; mode = Body };
-        { qual = [ "Adaptive"; "Ctl"; "tick_many" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "read_max" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "write_max" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "combining_now" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "write_plain" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "write_combining" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "tick_many" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "read_max" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "write_max" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "combining_now" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "write_plain" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "write_combining" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "tick_many" ]; mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "read" ]; mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "increment" ]; mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "combining_now" ]; mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "increment_plain" ]; mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "increment_combining" ];
-          mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "tick_many" ]; mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "read" ]; mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "increment" ]; mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "combining_now" ]; mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "increment_plain" ]; mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "increment_combining" ];
-          mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "tick_many" ]; mode = Body } ];
+        { qual = [ "Combine"; "submit" ]; mode = Body } ];
     (* R4: every library module pins its public surface.  Allowlist:
        signature-only modules (nothing to hide) and executable entry
        modules living next to library code. *)

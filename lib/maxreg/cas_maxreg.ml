@@ -53,19 +53,6 @@ module Unboxed = struct
     if value < 0 then invalid_arg "Cas_maxreg.write_max: negative value";
     cas_loop t value
 
-  (* A single attempt of the retry loop, for the flat-combining fast
-     path (Harness.Combining): the uncontended case must stay exactly
-     one read + one CAS, with the failure routed to the arena instead of
-     a local retry.  Encoded as an int so the caller's dispatch stays
-     allocation-free: 0 = value at or below the current maximum (the
-     elimination case — the write linearizes at the read), 1 = CAS
-     installed the value, 2 = CAS lost a race (contention: combine). *)
-  let write_once (t : t) value =
-    let cur = Atomic.get t in
-    if value <= cur then 0
-    else if Atomic.compare_and_set t cur value then 1
-    else 2
-
   (* Metered retry loop: the interesting observable for the non-wait-free
      baseline is precisely how many CAS attempts a WriteMax needed — the
      quantity the Theorem 3 adversary drives to Theta(K). *)

@@ -8,13 +8,9 @@
 
 module C = Smem.Combine
 module AC = Harness.Combining.Alg_a
-module CC = Harness.Combining.Cas
 module FC = Harness.Combining.Farray_c
-module NC = Harness.Combining.Naive_c
 module AU = Maxreg.Algorithm_a.Unboxed
-module CU = Maxreg.Cas_maxreg.Unboxed
 module FU = Counters.Farray_counter.Unboxed
-module NU = Counters.Naive_counter.Unboxed
 
 (* {1 Arena semantics} *)
 
@@ -109,22 +105,6 @@ let differential_maxreg_alg_a =
           end)
         ops)
 
-let differential_maxreg_cas =
-  QCheck.Test.make ~count:200 ~name:"cas-loop: combining = plain"
-    (ops_gen ~n:3)
-    (fun ops ->
-      let plain = CU.create () in
-      let comb = CC.create ~domains:3 () in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then CU.read_max plain = CC.read_max comb
-          else begin
-            CU.write_max plain ~pid v;
-            CC.write_max comb ~pid v;
-            CU.read_max plain = CC.read_max comb
-          end)
-        ops)
-
 let differential_counter_farray =
   QCheck.Test.make ~count:200 ~name:"farray: combining = plain"
     (ops_gen ~n:3)
@@ -138,22 +118,6 @@ let differential_counter_farray =
             FU.increment plain ~pid;
             FC.increment comb ~pid;
             FU.read plain = FC.read comb
-          end)
-        ops)
-
-let differential_counter_naive =
-  QCheck.Test.make ~count:200 ~name:"naive: combining = plain"
-    (ops_gen ~n:3)
-    (fun ops ->
-      let plain = NU.create ~n:3 () in
-      let comb = NC.create ~n:3 ~domains:3 () in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then NU.read plain = NC.read comb
-          else begin
-            NU.increment plain ~pid;
-            NC.increment comb ~pid;
-            NU.read plain = NC.read comb
           end)
         ops)
 
@@ -181,17 +145,17 @@ let check_alloc_free name f =
     true (delta <= slack)
 
 let test_alloc_free_bypass () =
-  let reg = CC.create ~domains:1 () in
+  let reg = AC.create ~n:1 ~domains:1 () in
   let v0 = ref 0 in
-  check_alloc_free "cas combining write_max (bypass)" (fun () ->
+  check_alloc_free "algorithm-a combining write_max (bypass)" (fun () ->
       let base = !v0 in
       for i = 1 to ops do
-        CC.write_max reg ~pid:0 (base + i)
+        AC.write_max reg ~pid:0 (base + i)
       done;
       v0 := base + ops);
-  check_alloc_free "cas combining read_max" (fun () ->
+  check_alloc_free "algorithm-a combining read_max" (fun () ->
       for _ = 1 to ops do
-        ignore (CC.read_max reg : int)
+        ignore (AC.read_max reg : int)
       done);
   let cnt = FC.create ~n:1 ~domains:1 () in
   check_alloc_free "farray combining increment (bypass)" (fun () ->
@@ -248,16 +212,7 @@ let test_parallel_counter_exact () =
         done)
   in
   Alcotest.(check int) "farray combining total exact"
-    (domains_used * per_domain) (FC.read cnt);
-  let ncnt = NC.create ~n:domains_used ~domains:domains_used () in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains_used (fun pid ->
-        for _ = 1 to per_domain do
-          NC.increment ncnt ~pid
-        done)
-  in
-  Alcotest.(check int) "naive combining total exact"
-    (domains_used * per_domain) (NC.read ncnt)
+    (domains_used * per_domain) (FC.read cnt)
 
 let test_parallel_maxreg_exact () =
   let reg = AC.create ~n:domains_used ~domains:domains_used () in
@@ -280,17 +235,7 @@ let test_parallel_maxreg_exact () =
   Alcotest.(check bool) "combining reads monotone" true (Atomic.get monotone);
   Alcotest.(check int) "combining final maximum"
     ((per_domain * domains_used) + (domains_used - 1))
-    (AC.read_max reg);
-  let creg = CC.create ~domains:domains_used () in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains_used (fun pid ->
-        for v = 1 to per_domain do
-          CC.write_max creg ~pid ((v * domains_used) + pid)
-        done)
-  in
-  Alcotest.(check int) "cas combining final maximum"
-    ((per_domain * domains_used) + (domains_used - 1))
-    (CC.read_max creg)
+    (AC.read_max reg)
 
 (* {1 Parking backoff (scripted clock)}
 
@@ -367,10 +312,7 @@ let () =
             test_backoff_doubles_and_caps ] );
       ( "differential",
         qsuite
-          [ differential_maxreg_alg_a;
-            differential_maxreg_cas;
-            differential_counter_farray;
-            differential_counter_naive ] );
+          [ differential_maxreg_alg_a; differential_counter_farray ] );
       ( "allocation",
         [ Alcotest.test_case "arena bypass allocates nothing" `Quick
             test_alloc_free_bypass;

@@ -255,9 +255,9 @@ let entry ~structure ~impl ?(backend = "native") ?(domains = 1)
     ?(read_pct = 50) ~mops () =
   { B.structure; impl; backend; domains; read_pct; mops }
 
-let doc_of_entries es =
+let doc_of_entries ?(schema = "bench-native/v4") es =
   J.Obj
-    [ ("schema", J.Str "bench-native/v4");
+    [ ("schema", J.Str schema);
       ( "rows",
         J.List
           (List.map
@@ -324,6 +324,55 @@ let test_baseline_symmetric_rows_quiet () =
   Alcotest.(check int) "no current-only" 0 (List.length d.B.current_only);
   Alcotest.(check int) "no bad baseline" 0 (List.length d.B.bad_baseline)
 
+(* v5 trajectories diff without a schema warning, and a v4 baseline's
+   adaptive column (a backend v5 no longer measures) surfaces as
+   baseline-only rows rather than being dropped. *)
+let test_baseline_v4_and_v5 () =
+  let row backend =
+    entry ~structure:"max-register" ~impl:"algorithm-a" ~backend ~mops:10. ()
+  in
+  let cur = doc_of_entries ~schema:"bench-native/v5" [ row "unboxed" ] in
+  let a = B.analyze ~baseline:cur ~current:cur () in
+  Alcotest.(check (list string)) "v5 baseline: no warnings" [] a.B.warnings;
+  let v4 = doc_of_entries [ row "unboxed"; row "adaptive" ] in
+  let a = B.analyze ~baseline:v4 ~current:cur () in
+  Alcotest.(check int) "unboxed row matched" 1 (List.length a.B.deltas);
+  Alcotest.(check (list string)) "only the adaptive row is warned about"
+    [ "1 row(s) only in the baseline (cell no longer measured): \
+       max-register/algorithm-a adaptive d=1 r=50%" ]
+    a.B.warnings
+
+(* {1 Bench stream: every trial writes fresh values}
+
+   regression: the sweep's cells keep their structure across warmup and
+   every trial, but [Throughput.run_batched] restarts [i0] at 0 on each
+   call.  Values derived from [i0] alone replayed below the register's
+   max from the second trial on, so later trials timed stale writes and
+   the algorithm-a rows ramped across trials.  Two simulated trials on
+   one cell, no clocks: the second trial's first batch must still raise
+   the max. *)
+let test_bench_trials_write_fresh_values () =
+  let op, read_max =
+    Benchkit.Bench_native.timed_cell
+      (Benchkit.Bench_native.Maxreg Harness.Instances.Algorithm_a)
+      ~backend:`Unboxed ~n:4 ~domains:1 ~read_pct:50
+  in
+  let batch = 64 in
+  let trial batches =
+    for b = 0 to batches - 1 do
+      op 0 (b * batch)
+    done
+  in
+  trial 16;
+  let before = read_max () in
+  Alcotest.(check bool) "first trial wrote" true (before > 0);
+  trial 1;
+  Alcotest.(check bool)
+    (Printf.sprintf "second trial's first batch raises the max (%d before)"
+       before)
+    true
+    (read_max () > before)
+
 let () =
   Alcotest.run "harness"
     [ ( "counting memory",
@@ -359,4 +408,9 @@ let () =
           Alcotest.test_case "unusable baseline mops warns" `Quick
             test_baseline_bad_mops_warn;
           Alcotest.test_case "symmetric rows stay quiet" `Quick
-            test_baseline_symmetric_rows_quiet ] ) ]
+            test_baseline_symmetric_rows_quiet;
+          Alcotest.test_case "v4 and v5 baselines" `Quick
+            test_baseline_v4_and_v5 ] );
+      ( "bench stream",
+        [ Alcotest.test_case "second trial writes fresh values" `Quick
+            test_bench_trials_write_fresh_values ] ) ]
