@@ -283,7 +283,7 @@ let farray_target =
         in
         match backend with
         | `Boxed ->
-          let c = FB.create ~n in
+          let c = FB.create ~n () in
           ( (fun d i0 ->
               for k = 0 to batch - 1 do
                 if Array.unsafe_get pattern ((i0 + k) land mask) then
@@ -312,7 +312,7 @@ let naive_target =
       (fun ~backend ~n ~domains:_ ~pattern ->
         match backend with
         | `Boxed ->
-          let c = NB.create ~n in
+          let c = NB.create ~n () in
           ( (fun d i0 ->
               for k = 0 to batch - 1 do
                 if Array.unsafe_get pattern ((i0 + k) land mask) then

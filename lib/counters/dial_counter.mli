@@ -4,12 +4,16 @@
     sum f-array: CounterRead collects the f block roots in Theta(f)
     steps, CounterIncrement propagates only inside its own block in
     O(log(N/f)) steps.  [F_one] coincides with {!Farray_counter},
-    [F_n] with {!Naive_counter}. *)
+    [F_n] with {!Naive_counter}.
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
+    One algorithm text (dial_counter.ml-body), two instantiations:
+    [Make] over {!Farray.Make} blocks and the zero-alloc [Unboxed] twin
+    over {!Farray.Unboxed} blocks. *)
+
+module type S := sig
   type t
 
-  val create : n:int -> dial:Treeprim.Dial.t -> t
+  val create : n:int -> dial:Treeprim.Dial.t -> unit -> t
   val increment : t -> pid:int -> unit
   (** Leaf bump + in-block propagation: O(log(N/f)) events. *)
 
@@ -17,19 +21,12 @@ module Make (M : Smem.Memory_intf.MEMORY) : sig
   (** Collect of the f block roots: Theta(f) events. *)
 end
 
-(** The zero-alloc native twin over {!Farray.Unboxed} blocks: identical
-    geometry and step counts, no allocation per read/increment.
-    [padded] (default true) puts each tree node on its own cache
-    line. *)
-module Unboxed : sig
-  type t
+module Make (M : Smem.Memory_intf.MEMORY) : S
 
-  val create : ?padded:bool -> n:int -> dial:Treeprim.Dial.t -> unit -> t
-  val increment : t -> pid:int -> unit
+module Unboxed : sig
+  include S
 
   val increment_metered : t -> metrics:Obs.Metrics.t -> pid:int -> unit
   (** [increment] with refresh rounds and CAS outcomes recorded under
       shard [pid]; free with {!Obs.Metrics.disabled}. *)
-
-  val read : t -> int
 end

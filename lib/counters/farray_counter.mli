@@ -1,25 +1,26 @@
 (** Jayanti's counter from an f-array with f = sum: CounterRead O(1),
     CounterIncrement O(log N), from read/write/CAS.  Theorem 1 of the
-    paper shows this read/update point is optimal. *)
+    paper shows this read/update point is optimal.
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
+    One algorithm text (farray_counter.ml-body), two instantiations:
+    [Make] over {!Farray.Make} and [Unboxed] over the padded
+    {!Farray.Unboxed} — identical step counts, zero allocation per
+    read/increment. *)
+
+module type S := sig
   type t
 
-  val create : n:int -> t
+  val create : n:int -> unit -> t
   val increment : t -> pid:int -> unit
 
   val read : t -> int
   (** One shared-memory event. *)
 end
 
-(** The same counter over the unboxed f-array ({!Farray.Unboxed}):
-    identical step counts, zero allocation per read/increment.  [padded]
-    (default true) puts each tree node on its own cache line. *)
-module Unboxed : sig
-  type t
+module Make (M : Smem.Memory_intf.MEMORY) : S
 
-  val create : ?padded:bool -> n:int -> unit -> t
-  val increment : t -> pid:int -> unit
+module Unboxed : sig
+  include S
 
   val increment_metered : t -> metrics:Obs.Metrics.t -> pid:int -> unit
   (** [increment] with propagation refresh rounds and CAS outcomes
@@ -33,6 +34,4 @@ module Unboxed : sig
       discipline. *)
 
   val add_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
-
-  val read : t -> int
 end

@@ -1,23 +1,18 @@
 (** The opposite end of the tradeoff: one single-writer register per
     process.  CounterIncrement O(1), CounterRead O(N).  Wait-free, reads
-    and writes only. *)
+    and writes only.
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
+    One algorithm text (naive_counter.ml-body), two instantiations:
+    [Make] over any {!Smem.Memory_intf.MEMORY}, and [Unboxed] on padded
+    [int Atomic.t] cells, one cache line per per-process register. *)
+
+module type S := sig
   type t
 
-  val create : n:int -> t
+  val create : n:int -> unit -> t
   val increment : t -> pid:int -> unit
   val read : t -> int
 end
 
-(** The same counter on bare [int Atomic.t] cells (see
-    {!Smem.Unboxed_memory}).  An array of adjacent one-word atomics is the
-    structure most exposed to false sharing, so [padded] defaults to true:
-    every per-process register gets its own cache line. *)
-module Unboxed : sig
-  type t
-
-  val create : ?padded:bool -> n:int -> unit -> t
-  val increment : t -> pid:int -> unit
-  val read : t -> int
-end
+module Make (M : Smem.Memory_intf.MEMORY) : S
+module Unboxed : S

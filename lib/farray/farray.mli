@@ -5,67 +5,55 @@
 
     The CAS propagation is ABA-free as long as node values never recur:
     guaranteed for monotone aggregates (sums, maxima) or sequence-stamped
-    leaf values. *)
+    leaf values.
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
+    One algorithm text (farray.ml-body), two instantiations: [Make] over
+    any {!Smem.Memory_intf.MEMORY}, and [Unboxed] over [int Atomic.t]
+    nodes, each padded to its own cache line, where [combine] works on
+    raw ints (leaves start at the [bot] sentinel; interpret it as "no
+    contribution") and read/update perform no allocation. *)
+
+module type S := sig
   type t
+
+  type value
+  (** The values a leaf holds. *)
 
   val create :
     ?refreshes:int ->
     n:int ->
-    combine:(Memsim.Simval.t -> Memsim.Simval.t -> Memsim.Simval.t) ->
+    combine:(value -> value -> value) ->
     unit ->
     t
   (** An f-array over [n] single-writer leaves, all initially
-      {!Memsim.Simval.Bot}; internal nodes hold
-      [combine left right] (interpret [Bot] as "no contribution").
+      {!Memsim.Simval.Bot} (or the unboxed [bot] sentinel); internal nodes
+      hold [combine left right] (interpret [Bot] as "no contribution").
       [refreshes] (default 2) is the per-node refresh count during
       propagation; 1 is an ablation that loses updates (experiment A2). *)
 
   val n : t -> int
 
-  val read : t -> Memsim.Simval.t
+  val read : t -> value
   (** The root aggregate: one shared-memory event. *)
 
-  val read_leaf : t -> int -> Memsim.Simval.t
+  val read_leaf : t -> int -> value
   (** One event; leaves are single-writer, so the owner can recover its
       last value. *)
 
-  val update : t -> leaf:int -> Memsim.Simval.t -> unit
+  val update : t -> leaf:int -> value -> unit
   (** Write leaf [i] and propagate: O(log n) events. *)
 
   val leaf_depth : t -> int -> int
 end
 
-(** The same structure over the unboxed backend ({!Smem.Unboxed_memory}),
-    specialized to [int Atomic.t] nodes so the Atomic primitives compile
-    inline: leaves start at the [bot] sentinel, [combine] works on raw
-    ints (interpret [bot] as "no contribution"), and read/update perform
-    no allocation.  [padded] (default true) gives every node its own cache
-    line. *)
+module Make (M : Smem.Memory_intf.MEMORY) : S with type value := Memsim.Simval.t
+
 module Unboxed : sig
-  type t
-
-  val bot : int
-
-  val create :
-    ?refreshes:int ->
-    ?padded:bool ->
-    n:int ->
-    combine:(int -> int -> int) ->
-    unit ->
-    t
-
-  val n : t -> int
-  val read : t -> int
-  val read_leaf : t -> int -> int
-  val update : t -> leaf:int -> int -> unit
+  include S with type value := int
 
   val update_metered :
     t -> metrics:Obs.Metrics.t -> domain:int -> leaf:int -> int -> unit
   (** [update] with refresh rounds and CAS outcomes recorded under shard
       [domain] (pass the calling pid); free with
       {!Obs.Metrics.disabled}. *)
-
-  val leaf_depth : t -> int -> int
 end

@@ -69,10 +69,10 @@ let rec counter_over (module M : Smem.Memory_intf.MEMORY) ~n ~bound impl :
     Counters.Counter.instantiate (module C) (C.create ~n ~bound)
   | Farray_counter ->
     let module C = Counters.Farray_counter.Make (M) in
-    Counters.Counter.instantiate (module C) (C.create ~n)
+    Counters.Counter.instantiate (module C) (C.create ~n ())
   | Naive_counter ->
     let module C = Counters.Naive_counter.Make (M) in
-    Counters.Counter.instantiate (module C) (C.create ~n)
+    Counters.Counter.instantiate (module C) (C.create ~n ())
   | Snapshot_counter s ->
     counter_of_snapshot_over (module M : Smem.Memory_intf.MEMORY) ~n s
 
@@ -131,9 +131,10 @@ let snapshot_native ~n impl = snapshot_over native ~n impl
    The hybrid snapshot keeps its boxed vector inner nodes but is
    functorized over the leaf-register memory, so it still composes with
    any MEMORY_INT (including the counting instrumentation).  The maxreg
-   and counter specializations are NOT functorized — they are the direct
-   [Unboxed] modules below — because without flambda the functor
-   indirection costs more than the memory operations themselves. *)
+   and counter [Unboxed] modules are NOT functor applications — each is
+   the second, in-unit instantiation of its algorithm text (DESIGN.md
+   §4) — because without flambda the functor indirection costs more
+   than the memory operations themselves. *)
 
 let snapshot_int_over (module M : Smem.Memory_intf.MEMORY_INT) ~n impl :
     Snapshots.Snapshot.instance option =
@@ -372,7 +373,7 @@ let counter_native_combining_metered ~metrics ~n ~domains ~bound impl :
 let counter_dial_over (module M : Smem.Memory_intf.MEMORY) ~n dial :
     Counters.Counter.instance =
   let module C = Counters.Dial_counter.Make (M) in
-  Counters.Counter.instantiate (module C) (C.create ~n ~dial)
+  Counters.Counter.instantiate (module C) (C.create ~n ~dial ())
 
 let counter_dial_sim session ~n dial =
   counter_dial_over (Smem.Sim_memory.bind session) ~n dial
@@ -380,7 +381,7 @@ let counter_dial_sim session ~n dial =
 let maxreg_dial_over (module M : Smem.Memory_intf.MEMORY) ~n dial :
     Maxreg.Max_register.instance =
   let module A = Maxreg.Dial_maxreg.Make (M) in
-  Maxreg.Max_register.instantiate (module A) (A.create ~n ~dial)
+  Maxreg.Max_register.instantiate (module A) (A.create ~n ~dial ())
 
 let maxreg_dial_sim session ~n dial =
   maxreg_dial_over (Smem.Sim_memory.bind session) ~n dial

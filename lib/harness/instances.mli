@@ -75,8 +75,8 @@ val snapshot_native : n:int -> snapshot_impl -> Snapshots.Snapshot.instance
     over its leaf-register memory, so it composes with any MEMORY_INT.
     [None] when the snapshot has no int-leaf specialization (double-collect
     and Afek are vector-valued throughout).  The maxreg and counter
-    specializations are deliberately not functorized — see
-    {!Maxreg.Algorithm_a.Unboxed} etc. — so they have no [_int_over]
+    [Unboxed] instantiations are deliberately not functor applications —
+    see {!Maxreg.Algorithm_a.Unboxed} etc. — so they have no [_int_over]
     constructor; use the [_native_fast] ones below. *)
 
 val snapshot_int_over :

@@ -201,7 +201,7 @@ let default =
           "hybrid snapshot scan: a single read of the root" ];
     recursion =
       [ (* leaf-to-root walks: depth of a complete/B1 tree *)
-        ([ "Propagate"; "Make"; "up" ], Summary.Log);
+        ([ "Propagate"; "Make"; "propagate" ], Summary.Log);
         ([ "Propagate"; "Unboxed"; "propagate" ], Summary.Log);
         ([ "Propagate"; "Unboxed"; "propagate_metered_live" ], Summary.Log);
         ([ "Aac_counter"; "Make"; "up" ], Summary.Log);

@@ -45,25 +45,22 @@ let default =
         (* domain spawning, stop flags and publish slots of the
            measurement harness *)
         Dir "lib/harness/throughput.ml";
-        (* the unboxed natives: directly-applied Atomic primitives are
-           the whole point of these submodules (a functor indirection
-           would cost more than the operations) — allowlisted at
-           submodule granularity, so raw atomics in the boxed functor
-           halves of the same files still get flagged *)
-        Module_path [ "Algorithm_a"; "Unboxed" ];
-        Module_path [ "B1_maxreg"; "Unboxed" ];
-        Module_path [ "Cas_maxreg"; "Unboxed" ];
-        Module_path [ "Farray"; "Unboxed" ];
-        Module_path [ "Naive_counter"; "Unboxed" ];
-        Module_path [ "Farray_counter"; "Unboxed" ];
-        Module_path [ "Dial_counter"; "Unboxed" ];
-        Module_path [ "Dial_maxreg"; "Unboxed" ];
-        Module_path [ "Propagate"; "Unboxed" ];
         (* chaos injection primitives: cpu_relax storms, DLS-keyed
            deterministic dice, domain spawning and the shared stamp
            clock — submodule-granular so raw atomics anywhere else in
            chaos.ml still get flagged *)
-        Module_path [ "Chaos"; "Inject" ] ];
+        Module_path [ "Chaos"; "Inject" ] ]
+      (* the unboxed instantiations' memory module: each twin unit's
+         [Unboxed.M] (lib/smem/unboxed.ml-prelude) applies the Atomic
+         primitives directly — a functor indirection would cost more
+         than the operations.  Allowlisted at that submodule alone, so
+         the algorithm text (X.ml-body, compiled into both [Make] and
+         [Unboxed]) and the unboxed-only entry points never touch
+         Atomic themselves *)
+      @ List.map
+          (fun twin -> Module_path [ twin; "Unboxed"; "M" ])
+          [ "Algorithm_a"; "B1_maxreg"; "Cas_maxreg"; "Dial_maxreg"; "Farray";
+            "Farray_counter"; "Naive_counter"; "Dial_counter"; "Propagate" ];
     (* R2: the libraries holding the paper's algorithms.  An unbounded
        loop there that never re-reads shared memory can spin forever on
        stale state — the syntactic complement of E9's liveness audit. *)

@@ -94,7 +94,6 @@ type ctx = {
   globals : (string list, Summary.t) Hashtbl.t;
   locs : (string list, string * int) Hashtbl.t;  (* op -> file, line *)
   changed : bool ref;            (* fixpoint progress flag *)
-  source : string;               (* current unit's source path *)
   mods : string list;            (* display module path, outermost first *)
   fparams : string list;         (* functor parameters in scope *)
   aliases : (string * string list) list;
@@ -468,8 +467,10 @@ let register ctx key s loc =
    | _ ->
      ctx.changed := true;
      Hashtbl.replace ctx.globals key s);
-  let line = loc.Location.loc_start.Lexing.pos_lnum in
-  Hashtbl.replace ctx.locs key (ctx.source, line)
+  (* the position's own file, not the unit's: a generated unit's
+     operations live in the text its line directive names *)
+  let p = loc.Location.loc_start in
+  Hashtbl.replace ctx.locs key (p.Lexing.pos_fname, p.Lexing.pos_lnum)
 
 let rec walk_module ctx env me =
   match me.mod_desc with
@@ -549,7 +550,6 @@ let compute ~budgets (units : Cmt_unit.t list) =
       (fun (u : Cmt_unit.t) ->
         let ctx =
           { budgets; globals; locs; changed;
-            source = u.source;
             mods = [ u.modname ];
             fparams = [];
             aliases = [] }

@@ -30,15 +30,41 @@ let in_scope (config : Config.t) source =
           && source.[String.length d] = '/'))
     config.scope_dirs
 
+(* The files a unit's structure items were read from, other than its
+   own source: for a unit dune generates by concatenating checked-in
+   texts under [# 1 "file"] line directives (the twin units, built from
+   X.ml-body), the texts themselves. *)
+let directive_files (u : Cmt_unit.t) =
+  let files = ref [] in
+  let dflt = Tast_iterator.default_iterator in
+  let iter =
+    { dflt with
+      structure_item =
+        (fun self item ->
+          let f = item.Typedtree.str_loc.Location.loc_start.Lexing.pos_fname in
+          if f <> u.source && not (List.mem f !files) then files := f :: !files;
+          dflt.structure_item self item) }
+  in
+  iter.structure iter u.structure;
+  !files
+
+(* A cmt can outlive its source (file deleted or renamed without a
+   clean); lint the tree as it is now.  A generated unit has no source
+   in the tree, so it counts as present when every text its line
+   directives name is — its diagnostics then land on those texts. *)
+let in_tree ~root (u : Cmt_unit.t) =
+  let exists f = Sys.file_exists (Filename.concat root f) in
+  exists u.source
+  || match directive_files u with
+     | [] -> false
+     | files -> List.for_all exists files
+
 let run ?(config = Config.default) ?(budgets = Budgets.default)
     ?(rules = all_rules) ~build_dir ~root () =
   let units =
     Cmt_unit.scan ~build_dir
     |> List.filter (fun (u : Cmt_unit.t) ->
-           in_scope config u.source
-           (* a cmt can outlive its source (file deleted or renamed
-              without a clean); lint the tree as it is now *)
-           && Sys.file_exists (Filename.concat root u.source))
+           in_scope config u.source && in_tree ~root u)
   in
   let want r = List.mem r rules in
   let diags = ref [] in

@@ -10,9 +10,14 @@
     B1 leaf was written by a concurrent, not-yet-propagated WriteMax of the
     same value; by default this implementation helps (propagates) before
     returning.  [~literal_early_return:true] reproduces the paper's literal
-    behaviour (see test_paper_deviation.ml and EXPERIMENTS.md E6). *)
+    behaviour (see test_paper_deviation.ml and EXPERIMENTS.md E6).
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
+    One algorithm text (algorithm_a.ml-body), two instantiations: [Make]
+    over any {!Smem.Memory_intf.MEMORY}, and [Unboxed] over padded
+    [int Atomic.t] nodes — identical structure and step counts, but
+    ReadMax and WriteMax allocate nothing. *)
+
+module type S := sig
   type t
 
   val create :
@@ -46,26 +51,10 @@ module Make (M : Smem.Memory_intf.MEMORY) : sig
   (** Depth of process [i]'s leaf in the complete subtree; O(log n). *)
 end
 
-(** The same algorithm over the unboxed backend ({!Smem.Unboxed_memory}),
-    specialized to [int Atomic.t] nodes so the Atomic primitives compile
-    inline: identical structure and step counts, but ReadMax and WriteMax
-    allocate nothing (the [bot] sentinel plays [Bot] and [combine] is bare
-    integer max).  [padded] (default true) gives every tree node its own
-    cache line. *)
+module Make (M : Smem.Memory_intf.MEMORY) : S
+
 module Unboxed : sig
-  type t
-
-  val create :
-    ?literal_early_return:bool ->
-    ?tl_shape:[ `B1 | `Complete ] ->
-    ?refreshes:int ->
-    ?padded:bool ->
-    n:int ->
-    unit ->
-    t
-
-  val read_max : t -> int
-  val write_max : t -> pid:int -> int -> unit
+  include S
 
   val write_max_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
   (** [write_max] with contention observability: refresh rounds and CAS
@@ -74,7 +63,4 @@ module Unboxed : sig
       writer propagate (the repaired line 16).  With
       {!Obs.Metrics.disabled} each record site costs one immediate-bool
       branch and allocates nothing. *)
-
-  val tl_leaf_depth : t -> int -> int
-  val tr_leaf_depth : t -> int -> int
 end

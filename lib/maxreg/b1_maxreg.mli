@@ -3,9 +3,15 @@
     partition of the unbounded value domain, giving WriteMax(v) O(log v)
     and ReadMax O(log vmax) with no bound fixed in advance.  The tree is
     materialized lazily (memory proportional to values written);
-    materialization is domain-safe. *)
+    materialization is domain-safe.
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
+    One algorithm text (b1_maxreg.ml-body), two instantiations: [Make]
+    over any {!Smem.Memory_intf.MEMORY}, and [Unboxed] with raw 0/1
+    [int Atomic.t] switches — first touch of a subtree still allocates
+    (lazy materialization), the steady-state recursion over forced nodes
+    allocates nothing. *)
+
+module type S := sig
   type t
 
   val create : unit -> t
@@ -17,15 +23,5 @@ module Make (M : Smem.Memory_intf.MEMORY) : sig
   (** O(log v) steps; [pid] is ignored (kept for interface uniformity). *)
 end
 
-(** The same register with raw 0/1 [int Atomic.t] switches (see
-    {!Smem.Unboxed_memory}).  First touch of a subtree still allocates
-    (lazy materialization); the steady-state recursion over forced nodes
-    allocates nothing.  [padded] (default false) pads each switch to its
-    own cache line. *)
-module Unboxed : sig
-  type t
-
-  val create : ?padded:bool -> unit -> t
-  val read_max : t -> int
-  val write_max : t -> pid:int -> int -> unit
-end
+module Make (M : Smem.Memory_intf.MEMORY) : S
+module Unboxed : S

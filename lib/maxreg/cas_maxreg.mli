@@ -2,9 +2,14 @@
     ReadMax is O(1); WriteMax is lock-free but {e not} wait-free — under
     the Theorem 3 adversary a single WriteMax is stretched to Theta(K)
     steps (see EXPERIMENTS.md E5), which is what Algorithm A's tree
-    structure avoids. *)
+    structure avoids.
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
+    One algorithm text (cas_maxreg.ml-body), two instantiations: [Make]
+    over any {!Smem.Memory_intf.MEMORY}, and [Unboxed] on a padded
+    [int Atomic.t] — zero allocation per operation, failed CAS attempts
+    included. *)
+
+module type S := sig
   type t
 
   val create : unit -> t
@@ -12,16 +17,10 @@ module Make (M : Smem.Memory_intf.MEMORY) : sig
   val write_max : t -> pid:int -> int -> unit
 end
 
-(** The same retry loop on a bare [int Atomic.t] (see
-    {!Smem.Unboxed_memory}): zero allocation per operation, including
-    failed CAS attempts.  [padded] (default true) gives the register its
-    own cache line. *)
-module Unboxed : sig
-  type t
+module Make (M : Smem.Memory_intf.MEMORY) : S
 
-  val create : ?padded:bool -> unit -> t
-  val read_max : t -> int
-  val write_max : t -> pid:int -> int -> unit
+module Unboxed : sig
+  include S
 
   val write_max_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
   (** [write_max] recording every CAS attempt and failure under shard

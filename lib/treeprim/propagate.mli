@@ -6,45 +6,42 @@
 
     Sound with CAS (rather than LL/SC) provided node values never recur —
     guaranteed for monotone aggregates (max, sums) and sequence-stamped
-    tuples. *)
+    tuples.
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
+    One algorithm text (propagate.ml-body), two instantiations: [Make]
+    over any {!Smem.Memory_intf.MEMORY}, and [Unboxed] over
+    [int Atomic.t] nodes, where a missing child reads as the [bot]
+    sentinel, [combine] works on raw ints and a propagate performs no
+    allocation. *)
+
+module type S := sig
+  type cell
+  (** A tree node's base object. *)
+
+  type value
+  (** The values it holds. *)
+
   val refresh :
-    combine:(Memsim.Simval.t -> Memsim.Simval.t -> Memsim.Simval.t) ->
-    M.t Tree_shape.node ->
-    unit
+    combine:(value -> value -> value) -> cell Tree_shape.node -> unit
   (** One refresh of one node: 4 shared-memory events (read node, read both
       children, CAS). *)
 
   val propagate :
-    ?refreshes:int ->
-    combine:(Memsim.Simval.t -> Memsim.Simval.t -> Memsim.Simval.t) ->
-    M.t Tree_shape.node ->
+    refreshes:int ->
+    combine:(value -> value -> value) ->
+    cell Tree_shape.node ->
     unit
-  (** Refresh every proper ancestor of the given leaf bottom-up, [refreshes]
-      times each (default 2): O(depth) events.  [refreshes:1] is an ablation
-      that admits lost updates (experiment A2); correctness requires 2. *)
+  (** Refresh every proper ancestor of the given leaf bottom-up,
+      [refreshes] times each: O(depth) events.  Correctness requires 2;
+      [refreshes:1] is an ablation that admits lost updates (experiment
+      A2).  Mandatory, so no call boxes an optional argument. *)
 end
 
-(** The same procedure over the unboxed backend ({!Smem.Unboxed_memory}),
-    specialized to [int Atomic.t] nodes so the Atomic primitives compile
-    inline (a functor would make every read/CAS an indirect call).  A
-    missing child reads as the [bot] sentinel, [combine] works on raw
-    ints, and a propagate performs no allocation — [refreshes] is
-    mandatory (an optional argument would box [Some refreshes] at every
-    call without flambda). *)
+module Make (M : Smem.Memory_intf.MEMORY) :
+  S with type cell := M.t and type value := Memsim.Simval.t
+
 module Unboxed : sig
-  val bot : int
-  (** [Smem.Unboxed_memory.bot]. *)
-
-  val refresh :
-    combine:(int -> int -> int) -> int Atomic.t Tree_shape.node -> unit
-
-  val propagate :
-    refreshes:int ->
-    combine:(int -> int -> int) ->
-    int Atomic.t Tree_shape.node ->
-    unit
+  include S with type cell := int Atomic.t and type value := int
 
   (** {1 Metered variants}
 

@@ -1,6 +1,6 @@
 (* Tests of the flat-combining layer: Smem.Combine arena semantics,
-   differential equivalence of the combining backends against the plain
-   unboxed natives on random operation sequences, zero-allocation
+   equivalence of the combining backends and the plain unboxed natives
+   (through the conformance table), zero-allocation
    assertions on the uncontended fast paths, and multi-domain exactness.
    Linearizability of combining histories under chaos lives in
    test_chaos.ml; this file is about sequential semantics and the
@@ -9,8 +9,6 @@
 module C = Smem.Combine
 module AC = Harness.Combining.Alg_a
 module FC = Harness.Combining.Farray_c
-module AU = Maxreg.Algorithm_a.Unboxed
-module FU = Counters.Farray_counter.Unboxed
 
 (* {1 Arena semantics} *)
 
@@ -76,50 +74,17 @@ let test_elimination_and_reset () =
 
    The combining backends claim "same structure, different submission
    protocol"; on sequential random mixes of reads and updates they must
-   be observationally identical to the plain unboxed natives.  The
-   arena is sized for 3 domains and driven from one thread with rotating
-   pids, so the solo-combiner drain path (lock, publish-free apply) is
-   exercised for every pid, not just the bypass. *)
+   meet the same sequential spec as the plain unboxed natives.  The
+   plain and combining rows of the conformance table (conformance.ml)
+   run the same seeded operations; the arena is sized for n domains and
+   driven from one thread with rotating pids, so the solo-combiner drain
+   path (lock, publish-free apply) is exercised for every pid, not just
+   the bypass. *)
 
-(* op = (pid, value): value >= 0 is an update, -1 a read *)
-let ops_gen ~n =
-  QCheck.make
-    ~print:QCheck.Print.(list (pair int int))
-    (QCheck.Gen.list_size (QCheck.Gen.int_range 1 120)
-       (QCheck.Gen.pair (QCheck.Gen.int_range 0 (n - 1))
-          (QCheck.Gen.int_range (-1) 40)))
-
-let differential_maxreg_alg_a =
-  QCheck.Test.make ~count:200 ~name:"algorithm-a: combining = plain"
-    (ops_gen ~n:3)
-    (fun ops ->
-      let plain = AU.create ~n:3 () in
-      let comb = AC.create ~n:3 ~domains:3 () in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then AU.read_max plain = AC.read_max comb
-          else begin
-            AU.write_max plain ~pid v;
-            AC.write_max comb ~pid v;
-            AU.read_max plain = AC.read_max comb
-          end)
-        ops)
-
-let differential_counter_farray =
-  QCheck.Test.make ~count:200 ~name:"farray: combining = plain"
-    (ops_gen ~n:3)
-    (fun ops ->
-      let plain = FU.create ~n:3 () in
-      let comb = FC.create ~n:3 ~domains:3 () in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then FU.read plain = FC.read comb
-          else begin
-            FU.increment plain ~pid;
-            FC.increment comb ~pid;
-            FU.read plain = FC.read comb
-          end)
-        ops)
+let combining_equals_plain kind structure =
+  Conformance.agree
+    (structure ^ ": combining = plain")
+    (Conformance.find kind structure [ "native_fast"; "native_combining" ])
 
 (* {1 Zero allocation on the fast paths}
 
@@ -294,8 +259,6 @@ let test_backoff_doubles_and_caps () =
     recorded;
   Alcotest.(check int) "both ops applied" 3 (Atomic.get total)
 
-let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
-
 let () =
   Alcotest.run "combining"
     [ ( "arena",
@@ -311,8 +274,8 @@ let () =
           Alcotest.test_case "parking backoff doubles then caps" `Quick
             test_backoff_doubles_and_caps ] );
       ( "differential",
-        qsuite
-          [ differential_maxreg_alg_a; differential_counter_farray ] );
+        [ combining_equals_plain Conformance.Maxreg "algorithm-a";
+          combining_equals_plain Conformance.Counter "farray" ] );
       ( "allocation",
         [ Alcotest.test_case "arena bypass allocates nothing" `Quick
             test_alloc_free_bypass;

@@ -117,7 +117,7 @@ let propagate_measurements () =
   in
   M.write leaf.Treeprim.Tree_shape.data (Memsim.Simval.Int 5);
   let refr = max_steps s [ (fun () -> P.refresh ~combine parent) ] in
-  let prop = max_steps s [ (fun () -> P.propagate ~combine leaf) ] in
+  let prop = max_steps s [ (fun () -> P.propagate ~refreshes:2 ~combine leaf) ] in
   [ ([ "Propagate"; "Make"; "refresh" ], n, refr);
     ([ "Propagate"; "Make"; "propagate" ], n, prop) ]
 

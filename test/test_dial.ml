@@ -1,7 +1,7 @@
 (* The tradeoff-dial family (Dial_counter / Dial_maxreg): block geometry
    unit pins, differential equivalence against the naive baseline at
-   every dial point (boxed, over Memsim), boxed-vs-unboxed parity,
-   4-domain exactness of the unboxed twins, zero-allocation checks, and
+   every dial point (boxed, over Memsim), boxed-vs-unboxed parity (via
+   the conformance table), 4-domain exactness of the unboxed twins, zero-allocation checks, and
    a fault-plan run with linearizability of the surviving history.
 
    The family's point is that f1 and fn are the two structures the repo
@@ -89,49 +89,21 @@ let differential_counter_vs_naive dial =
           end)
         ops)
 
-let differential_boxed_vs_unboxed dial =
-  QCheck.Test.make ~count:200
-    ~name:(Printf.sprintf "dial %s: boxed = unboxed" (D.name dial))
-    ops_gen
-    (fun ops ->
-      let boxed =
-        Harness.Instances.counter_dial_over
-          (module Smem.Atomic_memory)
-          ~n:n_procs dial
-      in
-      let unboxed = Harness.Instances.counter_native_dial ~n:n_procs dial in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then
-            boxed.Counters.Counter.read () = unboxed.Counters.Counter.read ()
-          else begin
-            boxed.Counters.Counter.increment ~pid;
-            unboxed.Counters.Counter.increment ~pid;
-            boxed.Counters.Counter.read () = unboxed.Counters.Counter.read ()
-          end)
-        ops)
+(* Boxed vs unboxed parity, and the max register against its running-max
+   spec, are rows of the conformance table (conformance.ml): every boxed
+   and unboxed dial constructor meets the sequential spec on the same
+   seeded operations. *)
+let boxed_vs_unboxed dial =
+  Conformance.(
+    agree
+      (Printf.sprintf "dial %s: boxed = unboxed" (D.name dial))
+      (find Counter ("dial " ^ D.name dial) [ "native"; "native_dial" ]))
 
-(* maxreg: dial register vs a pure running-max model, and boxed vs
-   unboxed parity — v >= 0 is a write_max *)
-let differential_maxreg dial =
-  QCheck.Test.make ~count:200
-    ~name:(Printf.sprintf "dial %s maxreg = running max" (D.name dial))
-    ops_gen
-    (fun ops ->
-      let session = Session.create () in
-      let r = Harness.Instances.maxreg_dial_sim session ~n:n_procs dial in
-      let unboxed = Harness.Instances.maxreg_native_dial ~n:n_procs dial in
-      let model = ref 0 in
-      List.for_all
-        (fun (pid, v) ->
-          if v >= 0 then begin
-            r.Maxreg.Max_register.write_max ~pid v;
-            unboxed.Maxreg.Max_register.write_max ~pid v;
-            model := max !model v
-          end;
-          r.Maxreg.Max_register.read_max () = !model
-          && unboxed.Maxreg.Max_register.read_max () = !model)
-        ops)
+let maxreg_running_max dial =
+  Conformance.(
+    agree
+      (Printf.sprintf "dial %s maxreg = running max" (D.name dial))
+      (find Maxreg ("dial " ^ D.name dial) [ "sim"; "native_dial" ]))
 
 (* {1 Unboxed: 4-domain exactness and zero allocation} *)
 
@@ -258,9 +230,8 @@ let () =
     [ ("geometry", [ Alcotest.test_case "widths and blocks" `Quick test_dial_geometry ]);
       ( "differential vs naive",
         qsuite (List.map differential_counter_vs_naive D.all) );
-      ( "boxed vs unboxed",
-        qsuite (List.map differential_boxed_vs_unboxed D.all) );
-      ("maxreg", qsuite (List.map differential_maxreg D.all));
+      ("boxed vs unboxed", List.map boxed_vs_unboxed D.all);
+      ("maxreg", List.map maxreg_running_max D.all);
       ( "parallel",
         [ Alcotest.test_case "4-domain counter exact" `Quick
             test_parallel_dial_exact;

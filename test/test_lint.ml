@@ -109,6 +109,17 @@ let test_r1_submodule_allowlist () =
   Alcotest.(check int) "r1_split violation line" 11
     (List.hd split).Lint.Diagnostic.line
 
+(* A dune-generated unit (test/lint_fixtures/gen_twin.ml, two copies of
+   gen_twin.ml-body under line directives) has no source file in the
+   tree; it is still linted, and its diagnostics land on the body text,
+   once per body line. *)
+let test_r1_generated_unit () =
+  let ds = by_rule "R1" (run_fixtures ~rules:[ "R1" ] ()) in
+  let body = in_file (fixture_dir ^ "/gen_twin.ml-body") ds in
+  Alcotest.(check (list (pair int int)))
+    "gen_twin.ml-body violation sites" [ (6, 16) ]
+    (List.map (fun d -> (d.Lint.Diagnostic.line, d.Lint.Diagnostic.col)) body)
+
 let test_r1_dir_allowlist () =
   let ds = by_rule "R1" (run_fixtures ~rules:[ "R1" ] ()) in
   let ok = in_file (fixture_dir ^ "/r1_dir_ok.ml") ds in
@@ -287,6 +298,8 @@ let () =
            test_r1_submodule_allowlist;
          Alcotest.test_case "R1 whole-file Dir allowlist" `Quick
            test_r1_dir_allowlist;
+         Alcotest.test_case "R1 generated unit" `Quick
+           test_r1_generated_unit;
          Alcotest.test_case "R2 spin + stale retry" `Quick
            test_r2_spin_and_stale_retry;
          Alcotest.test_case "R3 hot-path allocation" `Quick

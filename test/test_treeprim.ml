@@ -111,7 +111,7 @@ let test_propagate_max_reaches_root () =
   let mk () = M.make Memsim.Simval.Bot in
   let root, leaves = Tree_shape.complete ~mk ~nleaves:8 () in
   M.write leaves.(5).Tree_shape.data (Memsim.Simval.Int 42);
-  P.propagate ~combine:Memsim.Simval.max_val leaves.(5);
+  P.propagate ~refreshes:2 ~combine:Memsim.Simval.max_val leaves.(5);
   Alcotest.(check bool) "root holds max" true
     (Memsim.Simval.equal (M.read root.Tree_shape.data) (Memsim.Simval.Int 42))
 
@@ -120,7 +120,7 @@ let test_propagate_keeps_maximum () =
   let root, leaves = Tree_shape.complete ~mk ~nleaves:4 () in
   let write_and_propagate i v =
     M.write leaves.(i).Tree_shape.data (Memsim.Simval.Int v);
-    P.propagate ~combine:Memsim.Simval.max_val leaves.(i)
+    P.propagate ~refreshes:2 ~combine:Memsim.Simval.max_val leaves.(i)
   in
   write_and_propagate 0 10;
   write_and_propagate 3 7;

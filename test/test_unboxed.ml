@@ -1,7 +1,7 @@
-(* Tests of the unboxed native backend and its specialized implementations:
-   the padded heap-block layout, differential equivalence against the boxed
-   backend on random operation sequences, zero-allocation assertions via
-   minor-heap deltas, and a multi-domain smoke test. *)
+(* Tests of the unboxed native backend and its unboxed instantiations:
+   the padded heap-block layout, boxed = unboxed (through the conformance
+   table), zero-allocation assertions via minor-heap deltas, and a
+   multi-domain smoke test. *)
 
 (* {1 Padded layout}
 
@@ -38,21 +38,14 @@ let test_padded_layout () =
     "padded block intact after full major" Smem.Unboxed_memory.padded_words
     (Obj.size (Obj.repr padded))
 
-(* {1 Differential: boxed vs unboxed on random operation sequences}
+(* {1 Differential: boxed vs unboxed}
 
-   The unboxed specializations claim "same algorithm, different
-   representation"; random sequences of operations must be observationally
-   identical between the two backends. *)
-
-let bound = 1 lsl 20
-
-let maxreg_pair impl ~n =
-  ( Harness.Instances.maxreg_native ~n ~bound impl,
-    Option.get (Harness.Instances.maxreg_native_fast ~n ~bound impl) )
-
-let counter_pair impl ~n =
-  ( Harness.Instances.counter_native ~n ~bound impl,
-    Option.get (Harness.Instances.counter_native_fast ~n ~bound impl) )
+   The unboxed instantiations claim "same algorithm, different
+   representation".  For max registers and counters that is checked in
+   the conformance table (conformance.ml): the boxed and unboxed rows of
+   each implementation meet the same sequential spec on the same seeded
+   operations.  The f-array snapshot has no spec row there (it is
+   vector-valued), so its boxed/hybrid pair is compared directly. *)
 
 (* op = (pid, value): value >= 0 is a write, -1 a read *)
 let ops_gen ~n =
@@ -63,37 +56,10 @@ let ops_gen ~n =
        (QCheck.Gen.pair (QCheck.Gen.int_range 0 (n - 1))
           (QCheck.Gen.int_range (-1) 40)))
 
-let differential_maxreg impl =
-  QCheck.Test.make ~count:200
-    ~name:(Harness.Instances.maxreg_name impl ^ ": boxed = unboxed")
-    (ops_gen ~n:3)
-    (fun ops ->
-      let boxed, unboxed = maxreg_pair impl ~n:3 in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then boxed.read_max () = unboxed.read_max ()
-          else begin
-            boxed.write_max ~pid v;
-            unboxed.write_max ~pid v;
-            boxed.read_max () = unboxed.read_max ()
-          end)
-        ops)
-
-let differential_counter impl =
-  QCheck.Test.make ~count:200
-    ~name:(Harness.Instances.counter_name impl ^ ": boxed = unboxed")
-    (ops_gen ~n:3)
-    (fun ops ->
-      let boxed, unboxed = counter_pair impl ~n:3 in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then boxed.read () = unboxed.read ()
-          else begin
-            boxed.increment ~pid;
-            unboxed.increment ~pid;
-            boxed.read () = unboxed.read ()
-          end)
-        ops)
+let boxed_unboxed kind structure =
+  Conformance.agree
+    (structure ^ ": boxed = unboxed")
+    (Conformance.find kind structure [ "native"; "native_fast" ])
 
 let differential_snapshot =
   QCheck.Test.make ~count:200 ~name:"farray snapshot: boxed = hybrid"
@@ -320,17 +286,17 @@ let () =
   Alcotest.run "unboxed"
     [ ("layout", [ Alcotest.test_case "padded blocks" `Quick test_padded_layout ]);
       ( "differential",
-        qsuite
-          [ differential_maxreg Harness.Instances.Algorithm_a;
-            differential_maxreg Harness.Instances.Algorithm_a_literal;
-            differential_maxreg Harness.Instances.B1_maxreg;
-            differential_maxreg Harness.Instances.Cas_maxreg;
-            differential_counter Harness.Instances.Farray_counter;
-            differential_counter Harness.Instances.Naive_counter;
-            differential_counter
-              (Harness.Instances.Snapshot_counter
-                 Harness.Instances.Farray_snapshot);
-            differential_snapshot ] );
+        List.map
+          (fun (kind, s) -> boxed_unboxed kind s)
+          Conformance.
+            [ (Maxreg, "algorithm-a");
+              (Maxreg, "algorithm-a-literal");
+              (Maxreg, "aac-unbounded-b1");
+              (Maxreg, "cas-loop");
+              (Counter, "farray");
+              (Counter, "naive");
+              (Counter, "snapshot-farray") ]
+        @ qsuite [ differential_snapshot ] );
       ( "cross-implementation",
         qsuite [ differential_snapshot_impls; differential_counter_impls ] );
       ( "allocation",
