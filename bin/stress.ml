@@ -192,6 +192,7 @@ let fault_sweep target kind impl_name procs readers value_range =
   in
   let bad = ref [] in
   let classes = ref 0 in
+  let replays = ref 0 in
   let scheds = ref 0 in
   List.iter
     (fun plan ->
@@ -203,6 +204,7 @@ let fault_sweep target kind impl_name procs readers value_range =
           ()
       in
       classes := !classes + stats.Dpor.explored;
+      replays := !replays + stats.Dpor.replays;
       if stats.Dpor.truncated || not !ok then bad := plan :: !bad)
     crash_plans;
   List.iter
@@ -219,10 +221,11 @@ let fault_sweep target kind impl_name procs readers value_range =
     stall_plans;
   Printf.printf
     "%s/%s fault sweep, %d processes (%d readers): %d crash plans (%d dpor \
-     classes), %d stall plans (%d schedules): %d violating plans%s\n"
+     classes, %d replays), %d stall plans (%d schedules): %d violating \
+     plans%s\n"
     kind impl_name procs readers
     (List.length crash_plans)
-    !classes
+    !classes !replays
     (List.length stall_plans)
     !scheds
     (List.length !bad)

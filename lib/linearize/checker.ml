@@ -34,7 +34,10 @@ let find_linearization (type s) (module S : Spec.SPEC with type state = s) ~n
         !mask)
       ops
   in
-  let visited : (int * s, unit) Hashtbl.t = Hashtbl.create 4096 in
+  (* Sized from the history: a fixed 4096-bucket table is a major-heap
+     block that dominated the cost of checking the short histories of an
+     exhaustive exploration. *)
+  let visited : (int * s, unit) Hashtbl.t = Hashtbl.create (16 + (4 * m)) in
   let rec dfs taken (state : s) =
     if taken land completed_mask = completed_mask then Some []
     else if Hashtbl.mem visited (taken, state) then None

@@ -30,15 +30,20 @@
      dependent with q's transition wakes it, so no trace is delivered
      twice.
 
-   Continuations are one-shot (see [Explore]), so each visited node replays
-   its prefix from the initial configuration; the per-node cost matches
-   the naive explorer and the win is purely in how few nodes remain. *)
+   Continuations are one-shot (see [Explore]), so a prefix cannot be
+   forked.  The walk keeps one live run instead: a node's first explored
+   child continues it by one step, and only a later sibling replays its
+   prefix from the initial configuration.  Every run ends at exactly one
+   complete execution or sleep-blocked node, so without truncation
+   [replays = explored + sleep_blocked]: a replay per delivered path, not
+   per visited node. *)
 
 module IMap = Map.Make (Int)
 
 type stats = {
   explored : int;
   sleep_blocked : int;
+  replays : int;
   truncated : bool;
 }
 
@@ -81,6 +86,7 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
   if n > 62 then invalid_arg "Dpor.run: at most 62 processes";
   let explored = ref 0 in
   let sleep_blocked = ref 0 in
+  let replays = ref 0 in
   let truncated = ref false in
   let continue = ref true in
   let dummy = { enabled = []; backtrack = 0; done_ = 0 } in
@@ -88,17 +94,6 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
   let bottom = Vector_clock.bottom n in
   let obj_clock map obj =
     match IMap.find_opt obj map with Some c -> c | None -> bottom
-  in
-  (* Replay [rev_prefix] from the initial configuration; the run is left
-     open so enabled transitions can be inspected. *)
-  let replay rev_prefix =
-    Store.reset (Session.store session);
-    let sched = Scheduler.create session in
-    for pid = 0 to n - 1 do
-      ignore (Scheduler.spawn sched (make_body pid))
-    done;
-    List.iter (fun pid -> ignore (Scheduler.step sched pid)) (List.rev rev_prefix);
-    sched
   in
   let enabled_of sched =
     let rec go pid acc =
@@ -162,86 +157,102 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
   (* Depth-first exploration.  [cp] maps each pid to the clock of its last
      event; [ow] maps each object to the clock of its last write-like
      event, [ord] to the join of its reads since then; [sleep] is the pid
-     bitmask of sleeping transitions. *)
-  let rec explore rev_prefix depth sevs cp ow ord sleep =
-    if !continue then begin
-      if !explored >= max_schedules || depth > max_events then
-        truncated := true
-      else begin
-        let sched = replay rev_prefix in
-        match enabled_of sched with
-        | [] ->
-          let trace = Scheduler.finish sched in
-          incr explored;
-          if not (on_complete trace) then continue := false
-        | enabled ->
-          ignore (Scheduler.finish sched);
-          List.iter (detect_races sevs cp) enabled;
-          (match
-             List.find_opt (fun ne -> not (mem ne.pid sleep)) enabled
-           with
-           | None ->
-             (* Everything enabled sleeps: every continuation from here is
-                a reordering of a trace delivered elsewhere. *)
-             incr sleep_blocked
-           | Some first ->
-             let fr =
-               { enabled; backtrack = bit first.pid; done_ = 0 }
-             in
-             frames.(depth) <- fr;
-             let zs = ref sleep in
-             let rec loop () =
-               if !continue then
-                 match lowest_bit (fr.backtrack land lnot fr.done_) with
-                 | None -> ()
-                 | Some q ->
-                   fr.done_ <- fr.done_ lor bit q;
-                   if not (mem q !zs) then begin
-                     let ne = List.find (fun ne -> ne.pid = q) enabled in
-                     let local = Vector_clock.get cp.(q) q + 1 in
-                     let cv = Vector_clock.join cp.(q) (obj_clock ow ne.obj) in
-                     let cv =
-                       if ne.writes then
-                         Vector_clock.join cv (obj_clock ord ne.obj)
-                       else cv
-                     in
-                     let cv = Vector_clock.tick cv q ~local in
-                     let cp' = Array.copy cp in
-                     cp'.(q) <- cv;
-                     let ow' = if ne.writes then IMap.add ne.obj cv ow else ow in
-                     let ord' =
-                       if ne.writes then IMap.remove ne.obj ord
-                       else
-                         IMap.add ne.obj
-                           (Vector_clock.join cv (obj_clock ord ne.obj))
-                           ord
-                     in
-                     let sev =
-                       { depth; spid = q; sobj = ne.obj; swrites = ne.writes;
-                         slocal = local }
-                     in
-                     (* Siblings keep sleeping only while independent of
-                        the transition just taken. *)
-                     let sleep' =
-                       List.fold_left
-                         (fun acc r ->
-                           if
-                             mem r.pid !zs
-                             && not (dependent (r.obj, r.prim) (ne.obj, ne.prim))
-                           then acc lor bit r.pid
-                           else acc)
-                         0 enabled
-                     in
-                     explore (q :: rev_prefix) (depth + 1) (sev :: sevs) cp'
-                       ow' ord' sleep';
-                     zs := !zs lor bit q
-                   end;
-                   loop ()
-             in
-             loop ())
-      end
+     bitmask of sleeping transitions; [live] is a run already positioned
+     after [rev_prefix], or [None] when this node must replay it. *)
+  let rec explore live rev_prefix depth sevs cp ow ord sleep =
+    if (not !continue) || !explored >= max_schedules || depth > max_events
+    then begin
+      Option.iter (fun s -> ignore (Scheduler.finish s : Trace.t)) live;
+      if !continue then truncated := true
+    end
+    else begin
+      let sched =
+        match live with
+        | Some s -> s
+        | None ->
+          incr replays;
+          Replay.replay session ~n ~make_body ~schedule:(List.rev rev_prefix)
+            ()
+      in
+      match enabled_of sched with
+      | [] ->
+        let trace = Scheduler.finish sched in
+        incr explored;
+        if not (on_complete trace) then continue := false
+      | enabled ->
+        List.iter (detect_races sevs cp) enabled;
+        (match List.find_opt (fun ne -> not (mem ne.pid sleep)) enabled with
+         | None ->
+           (* Everything enabled sleeps: every continuation from here is a
+              reordering of a trace delivered elsewhere. *)
+           ignore (Scheduler.finish sched : Trace.t);
+           incr sleep_blocked
+         | Some first ->
+           let fr = { enabled; backtrack = bit first.pid; done_ = 0 } in
+           frames.(depth) <- fr;
+           (* [first] is never asleep, so the first child taken inherits
+              the run; later siblings replay. *)
+           let live = ref (Some sched) in
+           let zs = ref sleep in
+           let rec loop () =
+             if !continue then
+               match lowest_bit (fr.backtrack land lnot fr.done_) with
+               | None -> ()
+               | Some q ->
+                 fr.done_ <- fr.done_ lor bit q;
+                 if not (mem q !zs) then begin
+                   let ne = List.find (fun ne -> ne.pid = q) enabled in
+                   let local = Vector_clock.get cp.(q) q + 1 in
+                   let cv = Vector_clock.join cp.(q) (obj_clock ow ne.obj) in
+                   let cv =
+                     if ne.writes then
+                       Vector_clock.join cv (obj_clock ord ne.obj)
+                     else cv
+                   in
+                   let cv = Vector_clock.tick cv q ~local in
+                   let cp' = Array.copy cp in
+                   cp'.(q) <- cv;
+                   let ow' = if ne.writes then IMap.add ne.obj cv ow else ow in
+                   let ord' =
+                     if ne.writes then IMap.remove ne.obj ord
+                     else
+                       IMap.add ne.obj
+                         (Vector_clock.join cv (obj_clock ord ne.obj))
+                         ord
+                   in
+                   let sev =
+                     { depth; spid = q; sobj = ne.obj; swrites = ne.writes;
+                       slocal = local }
+                   in
+                   (* Siblings keep sleeping only while independent of
+                      the transition just taken. *)
+                   let sleep' =
+                     List.fold_left
+                       (fun acc r ->
+                         if
+                           mem r.pid !zs
+                           && not (dependent (r.obj, r.prim) (ne.obj, ne.prim))
+                         then acc lor bit r.pid
+                         else acc)
+                       0 enabled
+                   in
+                   let child =
+                     match !live with
+                     | Some s ->
+                       live := None;
+                       ignore (Scheduler.step s q : Event.t);
+                       Some s
+                     | None -> None
+                   in
+                   explore child (q :: rev_prefix) (depth + 1) (sev :: sevs)
+                     cp' ow' ord' sleep';
+                   zs := !zs lor bit q
+                 end;
+                 loop ()
+           in
+           loop ())
     end
   in
-  explore [] 0 [] (Array.make n bottom) IMap.empty IMap.empty 0;
-  { explored = !explored; sleep_blocked = !sleep_blocked;
+  explore None [] 0 [] (Array.make n bottom) IMap.empty IMap.empty 0;
+  { explored = !explored; sleep_blocked = !sleep_blocked; replays = !replays;
     truncated = !truncated }

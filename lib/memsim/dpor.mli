@@ -19,6 +19,10 @@
 type stats = {
   explored : int;       (** complete executions delivered to [on_complete] *)
   sleep_blocked : int;  (** paths pruned by sleep sets before completion *)
+  replays : int;
+      (** fresh runs started (store reset, bodies re-spawned, prefix
+          re-executed); equals [explored + sleep_blocked] unless
+          [truncated] *)
   truncated : bool;     (** a limit stopped the exploration *)
 }
 
@@ -39,8 +43,10 @@ val run :
   unit ->
   stats
 (** [run session ~n ~make_body ~on_complete ()] explores all maximal
-    schedules of processes [0..n-1] up to trace equivalence, re-executing
-    each prefix from the initial configuration exactly like
-    {!Explore.run} (fresh bodies, store reset).  [on_complete] returns
-    [false] to abort early.  Handles processes whose step counts are
-    schedule-dependent (retry loops).  At most 62 processes. *)
+    schedules of processes [0..n-1] up to trace equivalence.  Like
+    {!Explore.run}, a node's first child continues the live run and a
+    later sibling re-executes its prefix from the initial configuration
+    (fresh bodies, store reset).  [on_complete] returns [false] to abort
+    early; every exit leaves the session idle.  Handles processes whose
+    step counts are schedule-dependent (retry loops).  At most 62
+    processes. *)

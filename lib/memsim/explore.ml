@@ -2,121 +2,89 @@
 
    Enumerate every interleaving of a small set of processes and hand each
    complete execution to a callback.  Continuations are one-shot, so a
-   prefix cannot be forked; instead each schedule is re-executed from the
-   initial configuration (processes are deterministic, so prefix work is
-   identical).  Cost is O(#schedules * length) — affordable exactly in the
-   regime where exhaustiveness is interesting (2-4 processes, a few steps
-   each). *)
+   prefix cannot be forked.  The depth-first walk keeps one live run
+   instead: a node's first child continues it by one step, and only a
+   later sibling re-executes its prefix from the initial configuration
+   (processes are deterministic, so the prefix work is identical).  That
+   is one replay per complete schedule rather than one per visited node:
+   O(#schedules * length) events, affordable exactly in the regime where
+   exhaustiveness is interesting (2-4 processes, a few steps each). *)
 
 type stats = { explored : int; truncated : bool }
 
-(* Replay [schedule] and return the active pids after it (or None when the
-   schedule is not executable, which cannot happen for schedules built by
-   [run] itself). *)
-let active_after session ~n ~make_body schedule =
-  Store.reset (Session.store session);
-  let sched = Scheduler.create session in
-  for pid = 0 to n - 1 do
-    ignore (Scheduler.spawn sched (make_body pid))
-  done;
-  List.iter (fun pid -> ignore (Scheduler.step sched pid)) (List.rev schedule);
-  let active = Scheduler.active_pids sched in
-  (sched, active)
-
-(* Depth-first over all maximal schedules.  [on_complete] receives the full
-   trace of each complete execution; return [false] from it to abort the
-   exploration early (e.g. a counterexample was found). *)
-let run ?(max_schedules = 1_000_000) ?(max_events = 60) session ~n ~make_body
-    ~on_complete () =
+let walk ~max_schedules ~max_events ~start ~branches ~advance ~sched
+    ~on_complete =
   let explored = ref 0 in
   let truncated = ref false in
   let continue = ref true in
-  (* rev_prefix is the schedule so far, newest first *)
-  let rec dfs rev_prefix len =
-    if !continue then begin
-      if !explored >= max_schedules || len > max_events then
-        truncated := true
-      else begin
-        let sched, active = active_after session ~n ~make_body rev_prefix in
-        match active with
-        | [] ->
-          let trace = Scheduler.finish sched in
-          incr explored;
-          if not (on_complete trace) then continue := false
-        | pids ->
-          ignore (Scheduler.finish sched);
-          List.iter (fun pid -> dfs (pid :: rev_prefix) (len + 1)) pids
-      end
+  (* [live] is a run already positioned after [rev_prefix] (the schedule
+     so far, newest first), or [None] when this node must [start] one. *)
+  let rec dfs live rev_prefix len =
+    if (not !continue) || !explored >= max_schedules || len > max_events
+    then begin
+      Option.iter (fun r -> ignore (Scheduler.finish (sched r) : Trace.t)) live;
+      if !continue then truncated := true
+    end
+    else begin
+      let r = match live with Some r -> r | None -> start rev_prefix in
+      match branches r with
+      | [] ->
+        let trace = Scheduler.finish (sched r) in
+        incr explored;
+        if not (on_complete trace) then continue := false
+      | first :: rest ->
+        advance r first;
+        dfs (Some r) (first :: rev_prefix) (len + 1);
+        List.iter (fun pid -> dfs None (pid :: rev_prefix) (len + 1)) rest
     end
   in
-  dfs [] 0;
+  dfs None [] 0;
   { explored = !explored; truncated = !truncated }
+
+let start session ~n ~make_body rev_prefix =
+  Replay.replay session ~n ~make_body ~schedule:(List.rev rev_prefix) ()
+
+let advance sched pid = ignore (Scheduler.step sched pid : Event.t)
+
+let run ?(max_schedules = 1_000_000) ?(max_events = 60) session ~n ~make_body
+    ~on_complete () =
+  walk ~max_schedules ~max_events ~on_complete ~sched:Fun.id
+    ~start:(start session ~n ~make_body) ~branches:Scheduler.active_pids
+    ~advance
 
 (* When every process issues a schedule-independent number of events (true
    of all write-once tree algorithms here — CAS failures do not change step
    counts), complete schedules are exactly the interleavings of the given
-   per-process counts, and each needs to be executed only once: much
-   cheaper than prefix-replaying DFS. *)
+   per-process counts: the same walk as [run], checking at every node that
+   the active processes are exactly those with events left. *)
 let run_interleavings ?(max_schedules = 1_000_000) session ~make_body ~counts
     ~on_complete () =
   let n = Array.length counts in
-  let explored = ref 0 in
-  let truncated = ref false in
-  let continue = ref true in
-  let remaining = Array.copy counts in
-  let execute rev_schedule =
-    let schedule = List.rev rev_schedule in
-    Store.reset (Session.store session);
-    let sched = Scheduler.create session in
-    for pid = 0 to n - 1 do
-      ignore (Scheduler.spawn sched (make_body pid))
-    done;
-    List.iter
-      (fun pid ->
-        if not (Scheduler.is_active sched pid) then begin
-          ignore (Scheduler.finish sched);
-          invalid_arg
-            "Explore.run_interleavings: step counts are schedule-dependent"
-        end;
-        ignore (Scheduler.step sched pid))
-      schedule;
-    if Scheduler.active_pids sched <> [] then begin
-      ignore (Scheduler.finish sched);
+  let branches sched =
+    let rec deviates pid =
+      pid < n
+      && (Scheduler.is_active sched pid
+          <> (Scheduler.steps_of sched pid < counts.(pid))
+         || deviates (pid + 1))
+    in
+    if deviates 0 then begin
+      ignore (Scheduler.finish sched : Trace.t);
       invalid_arg
         "Explore.run_interleavings: step counts are schedule-dependent"
     end;
-    let trace = Scheduler.finish sched in
-    incr explored;
-    if not (on_complete trace) then continue := false
+    Scheduler.active_pids sched
   in
-  let rec go rev_schedule left =
-    if !continue then
-      if !explored >= max_schedules then truncated := true
-      else if left = 0 then execute rev_schedule
-      else
-        for pid = 0 to n - 1 do
-          if !continue && remaining.(pid) > 0 then begin
-            remaining.(pid) <- remaining.(pid) - 1;
-            go (pid :: rev_schedule) (left - 1);
-            remaining.(pid) <- remaining.(pid) + 1
-          end
-        done
-  in
-  go [] (Array.fold_left ( + ) 0 counts);
-  { explored = !explored; truncated = !truncated }
+  walk ~max_schedules ~max_events:(Array.fold_left ( + ) 0 counts)
+    ~on_complete ~sched:Fun.id ~start:(start session ~n ~make_body) ~branches
+    ~advance
 
 (* Solo step counts, for run_interleavings. *)
 let solo_counts session ~n ~make_body =
-  Store.reset (Session.store session);
-  let sched = Scheduler.create session in
-  for pid = 0 to n - 1 do
-    ignore (Scheduler.spawn sched (make_body pid))
-  done;
+  let sched = Replay.replay session ~n ~make_body ~schedule:[] () in
   let counts =
     Array.init n (fun pid ->
-        let before = Scheduler.steps_of sched pid in
         Scheduler.run_solo sched pid;
-        Scheduler.steps_of sched pid - before)
+        Scheduler.steps_of sched pid)
   in
-  ignore (Scheduler.finish sched);
+  ignore (Scheduler.finish sched : Trace.t);
   counts

@@ -275,47 +275,32 @@ let run_random ?(max_events = max_int) ~seed sched g =
 
 (* {1 Gated exhaustive exploration}
 
-   The Explore.run DFS with the gate threaded through prefix replay.  A
-   prefix pid was chosen from a post-[settle] permitted set, so during
-   replay "tick until the chosen pid is permitted" reproduces exactly the
-   decision point's ticks: had the pid been permitted at an earlier point,
-   [settle] would have stopped ticking there (the pid was active), and it
-   would have been chosen from that earlier set instead. *)
+   [Explore.walk] with the gate travelling with the live run: a node's
+   first child steps the run (and its gate) directly, and a later sibling
+   replays its prefix under a fresh gate.  A prefix pid was chosen
+   from a post-[settle] permitted set, so during replay "tick until the
+   chosen pid is permitted" reproduces exactly the decision point's ticks:
+   had the pid been permitted at an earlier point, [settle] would have
+   stopped ticking there (the pid was active), and it would have been
+   chosen from that earlier set instead.  Both paths therefore reach the
+   same decision points. *)
 
 let explore ?(max_schedules = 1_000_000) ?(max_events = 60) session ~n
     ~make_body ~plan ~on_complete () =
   let make_body = instrument plan make_body in
-  let explored = ref 0 in
-  let truncated = ref false in
-  let continue = ref true in
-  let rec dfs rev_prefix len =
-    if !continue then begin
-      if !explored >= max_schedules || len > max_events then truncated := true
-      else begin
-        Store.reset (Session.store session);
-        let sched = Scheduler.create session in
-        for pid = 0 to n - 1 do
-          ignore (Scheduler.spawn sched (make_body pid) : int)
-        done;
-        let g = gate plan in
-        List.iter
-          (fun pid ->
-            while not (permits g pid) do tick g done;
-            ignore (step sched g pid : Event.t))
-          (List.rev rev_prefix);
-        match settle sched g with
-        | `Done | `Frozen ->
-          let trace = Scheduler.finish sched in
-          incr explored;
-          if not (on_complete trace) then continue := false
-        | `Ready pids ->
-          ignore (Scheduler.finish sched : Trace.t);
-          List.iter (fun pid -> dfs (pid :: rev_prefix) (len + 1)) pids
-      end
-    end
-  in
-  dfs [] 0;
-  { Explore.explored = !explored; truncated = !truncated }
+  Explore.walk ~max_schedules ~max_events ~on_complete ~sched:fst
+    ~start:(fun rev_prefix ->
+      let sched = Replay.replay session ~n ~make_body ~schedule:[] () in
+      let g = gate plan in
+      List.iter
+        (fun pid ->
+          while not (permits g pid) do tick g done;
+          ignore (step sched g pid : Event.t))
+        (List.rev rev_prefix);
+      (sched, g))
+    ~branches:(fun (sched, g) ->
+      match settle sched g with `Ready pids -> pids | `Done | `Frozen -> [])
+    ~advance:(fun (sched, g) pid -> ignore (step sched g pid : Event.t))
 
 (* {1 Plan enumeration and minimization} *)
 

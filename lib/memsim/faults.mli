@@ -131,8 +131,9 @@ val run_random : ?max_events:int -> seed:int -> Scheduler.t -> gate -> unit
 
     Enumerates every maximal gated schedule of the instrumented program
     (program-level faults applied, scheduler-level faults gating each
-    depth).  The gate state is a function of the prefix alone, so
-    prefix replay is deterministic, like {!Explore.run}.  Use
+    depth), on {!Explore.walk}.  The gate state is a function of the
+    prefix alone, so a replayed prefix reaches the same gate as the live
+    run that carried its gate down the first branch.  Use
     {!Dpor.run} over [instrument plan make_body] instead when the plan
     has no scheduler-level faults — same coverage, far fewer
     schedules. *)

@@ -15,8 +15,9 @@ let erase_from_schedule schedule ~erased =
 
 (* Start a fresh run of [n] processes on [session] (store reset to the
    initial configuration) and replay [schedule].  The run is left open so
-   the caller can inspect enabled events and keep extending it. *)
-let replay session ~n ?names ~make_body ~schedule () =
+   the caller can inspect enabled events and keep extending it.  Every
+   explorer and the shrinker start their runs here. *)
+let replay session ~n ?names ?(lenient = false) ~make_body ~schedule () =
   Store.reset (Session.store session);
   let sched = Scheduler.create session in
   for pid = 0 to n - 1 do
@@ -24,7 +25,18 @@ let replay session ~n ?names ~make_body ~schedule () =
     let spawned = Scheduler.spawn sched ?name (make_body pid) in
     assert (spawned = pid)
   done;
-  Scheduler.run_schedule sched schedule;
+  (* Run every body to its first event now, as an explorer's live run does
+     when it first inspects the enabled set: an operation that issues no
+     event is then recorded at the start of every run, wherever the run
+     was started. *)
+  for pid = 0 to n - 1 do
+    ignore (Scheduler.is_active sched pid : bool)
+  done;
+  List.iter
+    (fun pid ->
+      if (not lenient) || (pid >= 0 && pid < n && Scheduler.is_active sched pid)
+      then ignore (Scheduler.step sched pid : Event.t))
+    schedule;
   sched
 
 (* Do the events of [pid] in [new_] match its events in [old_]

@@ -10,14 +10,19 @@ val replay :
   Session.t ->
   n:int ->
   ?names:(int -> string) ->
+  ?lenient:bool ->
   make_body:(int -> unit -> unit) ->
   schedule:int list ->
   unit ->
   Scheduler.t
 (** Reset the session's store, spawn [n] fresh processes (pid [i] runs
-    [make_body i]) and replay [schedule].  The returned run is left open for
+    [make_body i]), run each body up to its first event, and replay
+    [schedule].  The returned run is left open for
     further inspection and extension; the caller must eventually call
-    {!Scheduler.finish}. *)
+    {!Scheduler.finish}.  With [~lenient:true], entries whose process is
+    inactive or out of range are skipped instead of raising
+    [Invalid_argument], so schedules mangled by shrinking still denote
+    executions ({!Shrink.replay}). *)
 
 val indistinguishable_for :
   old_trace:Trace.t -> new_trace:Trace.t -> pid:int -> (unit, string) result

@@ -14,17 +14,8 @@
    schedules mangled by shrinking still denote executions.  Returns the
    completed trace. *)
 let replay session ~n ~make_body schedule =
-  Store.reset (Session.store session);
-  let sched = Scheduler.create session in
-  for pid = 0 to n - 1 do
-    ignore (Scheduler.spawn sched (make_body pid))
-  done;
-  List.iter
-    (fun pid ->
-      if pid >= 0 && pid < n && Scheduler.is_active sched pid then
-        ignore (Scheduler.step sched pid))
-    schedule;
-  Scheduler.finish sched
+  Scheduler.finish
+    (Replay.replay session ~n ~lenient:true ~make_body ~schedule ())
 
 (* The effective schedule: what [replay] would actually execute. *)
 let effective session ~n ~make_body schedule =

@@ -288,7 +288,8 @@ let test_algorithm_a_pruning_ratio () =
    event in the implementation raising it).  An unexplained increase means
    lost pruning; an unexplained decrease means lost coverage. *)
 
-let test_pinned_counts_algorithm_a () =
+(* 1 writer (26 events) + 2 O(1) readers. *)
+let algorithm_a_wrr () =
   let session = Session.create () in
   let reg =
     Harness.Annotate.max_register session
@@ -298,15 +299,9 @@ let test_pinned_counts_algorithm_a () =
   let make_body pid () =
     if pid = 0 then reg.write_max ~pid 5 else ignore (reg.read_max ())
   in
-  let dstats, _ =
-    dpor_explore ~session ~n:3 ~make_body ~check:(fun _ -> true) ()
-  in
-  (* 1 writer (26 events) + 2 O(1) readers: the readers race only with the
-     root CASes of Propagate, so 756 naive interleavings collapse to 9
-     trace classes. *)
-  Alcotest.(check int) "algorithm A w+r+r classes" 9 dstats.Dpor.explored
+  (session, make_body)
 
-let test_pinned_counts_cas_maxreg () =
+let cas_loop_wwr () =
   let session = Session.create () in
   let reg =
     Harness.Annotate.max_register session
@@ -319,21 +314,11 @@ let test_pinned_counts_cas_maxreg () =
     | 1 -> reg.write_max ~pid 5
     | _ -> ignore (reg.read_max ())
   in
-  let dstats, _ =
-    dpor_explore ~session ~n:3 ~make_body ~check:(fun _ -> true) ()
-  in
-  (* Every event of the CAS loop touches the single register, so almost
-     nothing commutes: 35 naive schedules (retries included) only collapse
-     to 12 — documenting that DPOR pays off on tree algorithms, not on
-     single-hot-spot ones. *)
-  Alcotest.(check int) "cas-loop w+w+r classes" 12 dstats.Dpor.explored
+  (session, make_body)
 
-(* {1 DPOR-powered exhaustive suites (n = 3)}
-
-   Model checking that the naive explorer cannot finish: every trace class
-   of each scenario is visited and checked linearizable. *)
-
-let test_algorithm_a_n3_exhaustive () =
+(* Two writers + 1 reader at bound 4: the smallest pinned program where
+   sleep sets block paths. *)
+let algorithm_a_wwr () =
   let session = Session.create () in
   let reg =
     Harness.Annotate.max_register session
@@ -346,6 +331,168 @@ let test_algorithm_a_n3_exhaustive () =
     | 1 -> reg.write_max ~pid 3
     | _ -> ignore (reg.read_max ())
   in
+  (session, make_body)
+
+(* Two f-array incrementers at n = 2 (the double-refresh CAS torture test
+   of test_exhaustive). *)
+let farray_ii () =
+  let session = Session.create () in
+  let c =
+    Harness.Annotate.counter session
+      (Harness.Instances.counter_sim session ~n:2 ~bound:8
+         Harness.Instances.Farray_counter)
+  in
+  (session, fun pid () -> c.increment ~pid)
+
+(* A DFS run is started fresh only where a later sibling needs its prefix
+   re-executed; the first child continues its parent's run.  Each run
+   therefore ends at exactly one delivered execution or sleep-blocked
+   node. *)
+let check_replays name (dstats : Dpor.stats) =
+  Alcotest.(check bool) (name ^ ": not truncated") false dstats.truncated;
+  Alcotest.(check int)
+    (Printf.sprintf "%s: replays = explored %d + sleep-blocked %d" name
+       dstats.explored dstats.sleep_blocked)
+    (dstats.explored + dstats.sleep_blocked)
+    dstats.replays
+
+let test_pinned_counts_algorithm_a () =
+  let session, make_body = algorithm_a_wrr () in
+  let dstats, _ =
+    dpor_explore ~session ~n:3 ~make_body ~check:(fun _ -> true) ()
+  in
+  (* The readers race only with the root CASes of Propagate, so 756 naive
+     interleavings collapse to 9 trace classes. *)
+  Alcotest.(check int) "algorithm A w+r+r classes" 9 dstats.Dpor.explored;
+  check_replays "algorithm A w+r+r" dstats
+
+let test_pinned_counts_cas_maxreg () =
+  let session, make_body = cas_loop_wwr () in
+  let dstats, _ =
+    dpor_explore ~session ~n:3 ~make_body ~check:(fun _ -> true) ()
+  in
+  (* Every event of the CAS loop touches the single register, so almost
+     nothing commutes: 35 naive schedules (retries included) only collapse
+     to 12 — documenting that DPOR pays off on tree algorithms, not on
+     single-hot-spot ones. *)
+  Alcotest.(check int) "cas-loop w+w+r classes" 12 dstats.Dpor.explored;
+  check_replays "cas-loop w+w+r" dstats
+
+let test_pinned_counts_farray_ii () =
+  let session, make_body = farray_ii () in
+  let dstats, _ =
+    dpor_explore ~session ~n:2 ~make_body ~check:(fun _ -> true) ()
+  in
+  Alcotest.(check int) "f-array i+i classes" 94 dstats.Dpor.explored;
+  check_replays "f-array i+i" dstats
+
+(* {1 Live runs}
+
+   The explorers continue one run down each DFS branch instead of
+   re-executing every node's prefix.  That must be invisible: every
+   delivered trace equals, entry for entry, a fresh replay of its
+   schedule, and every exit leaves the session free for the next run. *)
+
+(* p2's operation issues no event, so where it lands depends only on when
+   its body first runs: every run, live or replayed, must start it at the
+   same point. *)
+let zero_event_op () =
+  let session = Session.create () in
+  let x = Session.alloc session ~name:"x" (Simval.Int 0) in
+  let make_body pid () =
+    if pid = 2 then begin
+      Session.annotate_invoke session ~op:"noop" ~arg:Simval.Bot;
+      Session.annotate_return session ~op:"noop" ~result:Simval.Bot
+    end
+    else begin
+      ignore (Session.mem_op session x (Event.Write (Simval.Int pid)));
+      ignore (Session.mem_op session x Event.Read)
+    end
+  in
+  (session, make_body)
+
+let matches_fresh_replay ~session ~n ~make_body ~mismatches trace =
+  let fresh = Shrink.replay session ~n ~make_body (Trace.schedule trace) in
+  if Trace.entries fresh <> Trace.entries trace then incr mismatches;
+  true
+
+let check_fresh_replays name explore (session, make_body) =
+  let mismatches = ref 0 in
+  let explored =
+    explore session ~make_body
+      ~on_complete:(matches_fresh_replay ~session ~n:3 ~make_body ~mismatches)
+  in
+  Alcotest.(check bool) (name ^ ": explored something") true (explored > 0);
+  Alcotest.(check int)
+    (Printf.sprintf "%s: %d traces equal their fresh replay" name explored)
+    0 !mismatches
+
+let dpor session ~make_body ~on_complete =
+  (Dpor.run session ~n:3 ~make_body ~on_complete ()).Dpor.explored
+
+let naive session ~make_body ~on_complete =
+  (Explore.run session ~n:3 ~make_body ~on_complete ()).Explore.explored
+
+let test_dpor_traces_match_replay () =
+  check_fresh_replays "algorithm A w+r+r" dpor (algorithm_a_wrr ());
+  check_fresh_replays "cas-loop w+w+r" dpor (cas_loop_wwr ());
+  check_fresh_replays "algorithm A w+w+r" dpor (algorithm_a_wwr ());
+  check_fresh_replays "buggy register" dpor (buggy_scenario ());
+  check_fresh_replays "zero-event operation" dpor (zero_event_op ())
+
+let test_naive_traces_match_replay () =
+  check_fresh_replays "algorithm A w+r+r" naive (algorithm_a_wrr ());
+  check_fresh_replays "cas-loop w+w+r" naive (cas_loop_wwr ());
+  check_fresh_replays "zero-event operation" naive (zero_event_op ())
+
+let session_idle session =
+  match Scheduler.create session with
+  | sched ->
+    ignore (Scheduler.finish sched : Trace.t);
+    true
+  | exception Invalid_argument _ -> false
+
+(* Each early exit — [on_complete] aborting, the schedule budget, the
+   depth budget — with a live run handed down to it must finish that
+   run. *)
+let check_exits_leave_idle name explore =
+  let exits =
+    [ ("abort", None, None, false);
+      ("max_schedules", Some 1, None, true);
+      ("max_events", None, Some 3, true) ]
+  in
+  List.iter
+    (fun (exit, max_schedules, max_events, truncates) ->
+      let session, make_body = cas_loop_wwr () in
+      let truncated =
+        explore ?max_schedules ?max_events session ~make_body
+          ~on_complete:(fun _ -> truncates)
+      in
+      Alcotest.(check bool) (Printf.sprintf "%s %s: truncated" name exit)
+        truncates truncated;
+      Alcotest.(check bool) (Printf.sprintf "%s %s: session idle" name exit)
+        true (session_idle session))
+    exits
+
+let test_exits_leave_session_idle () =
+  check_exits_leave_idle "dpor"
+    (fun ?max_schedules ?max_events session ~make_body ~on_complete ->
+      (Dpor.run ?max_schedules ?max_events session ~n:3 ~make_body
+         ~on_complete ())
+        .Dpor.truncated);
+  check_exits_leave_idle "naive"
+    (fun ?max_schedules ?max_events session ~make_body ~on_complete ->
+      (Explore.run ?max_schedules ?max_events session ~n:3 ~make_body
+         ~on_complete ())
+        .Explore.truncated)
+
+(* {1 DPOR-powered exhaustive suites (n = 3)}
+
+   Model checking that the naive explorer cannot finish: every trace class
+   of each scenario is visited and checked linearizable. *)
+
+let test_algorithm_a_n3_exhaustive () =
+  let session, make_body = algorithm_a_wwr () in
   (* Theorem 5 (linearizability) and the step-bound half of Theorem 6
      (wait-freedom) checked over EVERY trace class: linearizable, and no
      process exceeds a fixed step bound in any interleaving. *)
@@ -362,6 +509,10 @@ let test_algorithm_a_n3_exhaustive () =
     (Printf.sprintf "real coverage (%d classes)" dstats.Dpor.explored)
     true
     (dstats.Dpor.explored >= 500);
+  Alcotest.(check int) "pinned classes" 784 dstats.Dpor.explored;
+  Alcotest.(check int) "pinned sleep-blocked paths" 70
+    dstats.Dpor.sleep_blocked;
+  check_replays "algorithm A w+w+r" dstats;
   Alcotest.(check int) "all linearizable (theorem 5 at n=3)" 0 failures;
   Alcotest.(check bool)
     (Printf.sprintf "wait-free step bound holds everywhere (max %d)"
@@ -406,6 +557,8 @@ let test_farray_counter_n3_exhaustive () =
     (Printf.sprintf "real coverage (%d classes)" dstats.Dpor.explored)
     true
     (dstats.Dpor.explored >= 10_000);
+  Alcotest.(check int) "pinned classes" 32336 dstats.Dpor.explored;
+  check_replays "f-array counter i+i+r" dstats;
   Alcotest.(check int) "all linearizable" 0 failures
 
 let test_farray_snapshot_n3_exhaustive () =
@@ -426,6 +579,8 @@ let test_farray_snapshot_n3_exhaustive () =
     (Printf.sprintf "real coverage (%d classes)" dstats.Dpor.explored)
     true
     (dstats.Dpor.explored >= 10_000);
+  Alcotest.(check int) "pinned classes" 32336 dstats.Dpor.explored;
+  check_replays "f-array snapshot u+u+s" dstats;
   Alcotest.(check int) "all linearizable" 0 failures
 
 (* {1 Shrinking} *)
@@ -535,9 +690,18 @@ let () =
           Alcotest.test_case "pinned: algorithm A w+r+r = 9 classes" `Quick
             test_pinned_counts_algorithm_a;
           Alcotest.test_case "pinned: cas-loop w+w+r = 12 classes" `Quick
-            test_pinned_counts_cas_maxreg ] );
+            test_pinned_counts_cas_maxreg;
+          Alcotest.test_case "pinned: f-array i+i = 94 classes" `Quick
+            test_pinned_counts_farray_ii ] );
+      ( "live runs",
+        [ Alcotest.test_case "dpor traces = fresh replays" `Quick
+            test_dpor_traces_match_replay;
+          Alcotest.test_case "naive traces = fresh replays" `Quick
+            test_naive_traces_match_replay;
+          Alcotest.test_case "early exits leave the session idle" `Quick
+            test_exits_leave_session_idle ] );
       ( "model checking (n=3)",
-        [ Alcotest.test_case "algorithm A w+w+r, exhaustive" `Slow
+        [ Alcotest.test_case "algorithm A w+w+r, exhaustive" `Quick
             test_algorithm_a_n3_exhaustive;
           Alcotest.test_case "cas-loop max register w+w+r, exhaustive" `Quick
             test_cas_maxreg_n3_exhaustive;

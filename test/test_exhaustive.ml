@@ -309,6 +309,28 @@ let test_enumerators_agree () =
   Alcotest.(check int) "generic count" 6 !generic;
   Alcotest.(check int) "fixed count" 6 !fixed
 
+(* Solo counts of a CAS-loop register are not its counts under
+   contention (a lost CAS retries): run_interleavings must refuse, and
+   leave the session free for the next run. *)
+let test_interleavings_reject_retries () =
+  let session = Session.create () in
+  let reg =
+    Harness.Instances.maxreg_sim session ~n:2 ~bound:8
+      Harness.Instances.Cas_maxreg
+  in
+  let make_body pid () = reg.write_max ~pid (pid + 1) in
+  let counts = Explore.solo_counts session ~n:2 ~make_body in
+  Alcotest.check_raises "schedule-dependent counts"
+    (Invalid_argument
+       "Explore.run_interleavings: step counts are schedule-dependent")
+    (fun () ->
+      ignore
+        (Explore.run_interleavings session ~make_body ~counts
+           ~on_complete:(fun _ -> true)
+           ()));
+  let sched = Scheduler.create session in
+  ignore (Scheduler.finish sched : Trace.t)
+
 let () =
   Alcotest.run "exhaustive"
     [ ( "all interleavings",
@@ -327,4 +349,6 @@ let () =
           Alcotest.test_case "b1 max register (w+w+r)" `Quick
             test_b1_maxreg_exhaustive;
           Alcotest.test_case "enumerators agree" `Quick test_enumerators_agree;
+          Alcotest.test_case "interleavings reject retries" `Quick
+            test_interleavings_reject_retries;
           QCheck_alcotest.to_alcotest prop_interleaving_count ] ) ]

@@ -375,7 +375,9 @@ let checked ~step_bound ~n trace ~failures =
   if not (lin_maxreg ~n trace) then incr failures;
   true
 
-let crash_sweep name make_scenario =
+(* [classes] and [schedules] pin the sweep totals: the explorers'
+   exploration order and pruning must not drift. *)
+let crash_sweep name make_scenario ~classes =
   let session, make_body = make_scenario () in
   let counts = Explore.solo_counts session ~n:3 ~make_body in
   let plans = Faults.single_crash_plans ~counts in
@@ -404,21 +406,23 @@ let crash_sweep name make_scenario =
        "%s: all surviving histories linearizable, step bound holds (%d plans, \
         %d classes)"
        name (List.length plans) !total_classes)
-    0 !failures
+    0 !failures;
+  Alcotest.(check int) (name ^ ": pinned dpor classes") classes !total_classes
 
 let test_crash_sweep_algorithm_a () =
-  crash_sweep "algorithm A w+r+r" sweep_scenario_algorithm_a
+  crash_sweep "algorithm A w+r+r" sweep_scenario_algorithm_a ~classes:44
 
 let test_crash_sweep_cas_loop () =
-  crash_sweep "cas-loop w+w+r" sweep_scenario_cas_loop
+  crash_sweep "cas-loop w+w+r" sweep_scenario_cas_loop ~classes:16
 
-let stall_sweep name make_scenario ~points =
+let stall_sweep name make_scenario ~points ~schedules =
   let session, make_body = make_scenario () in
   let counts = Explore.solo_counts session ~n:3 ~make_body in
   (* stalls starting beyond the longest possible execution never bind *)
   let max_point = Array.fold_left ( + ) 0 counts in
   let plans = Faults.single_stall_plans ~n:3 ~max_point ~points in
   let failures = ref 0 in
+  let total = ref 0 in
   List.iter
     (fun plan ->
       let stats =
@@ -432,18 +436,84 @@ let stall_sweep name make_scenario ~points =
       Alcotest.(check bool)
         (Fmt.str "%s: %a explored something" name Faults.pp plan)
         true
-        (stats.Explore.explored > 0))
+        (stats.Explore.explored > 0);
+      total := !total + stats.Explore.explored)
     plans;
   Alcotest.(check int)
     (Printf.sprintf "%s: linearizable within step bound under all %d stalls"
        name (List.length plans))
-    0 !failures
+    0 !failures;
+  Alcotest.(check int) (name ^ ": pinned schedules") schedules !total
 
 let test_stall_sweep_algorithm_a () =
   stall_sweep "algorithm A w+r+r" sweep_scenario_algorithm_a ~points:5
+    ~schedules:45216
 
 let test_stall_sweep_cas_loop () =
-  stall_sweep "cas-loop w+w+r" sweep_scenario_cas_loop ~points:5
+  stall_sweep "cas-loop w+w+r" sweep_scenario_cas_loop ~points:5 ~schedules:344
+
+(* {1 Live gated runs}
+
+   [Faults.explore] continues one gated run down each DFS branch and
+   replays a prefix only for later siblings.  Stepping the live run must
+   reach the same decision points as the "tick until permitted" replay:
+   every delivered trace equals a fresh replay of its schedule, and every
+   early exit leaves the session idle. *)
+
+let test_gated_traces_match_replay () =
+  let plans =
+    [ [ Faults.Stall { pid = 0; at = 2; points = 5 } ];
+      [ Faults.Stall { pid = 1; at = 0; points = 3 };
+        Faults.Crash { pid = 2; after = 1 } ];
+      [ Faults.Halt_all_but { pid = 0; at = 3 } ] ]
+  in
+  List.iter
+    (fun plan ->
+      let session, make_body = sweep_scenario_cas_loop () in
+      let faulted = Faults.instrument plan make_body in
+      let mismatches = ref 0 in
+      let stats =
+        Faults.explore session ~n:3 ~make_body ~plan
+          ~on_complete:(fun trace ->
+            let fresh =
+              Shrink.replay session ~n:3 ~make_body:faulted
+                (Trace.schedule trace)
+            in
+            if Trace.entries fresh <> Trace.entries trace then incr mismatches;
+            true)
+          ()
+      in
+      Alcotest.(check bool)
+        (Fmt.str "%a: explored something" Faults.pp plan)
+        true (stats.Explore.explored > 0);
+      Alcotest.(check int)
+        (Fmt.str "%a: %d traces equal their fresh replay" Faults.pp plan
+           stats.Explore.explored)
+        0 !mismatches)
+    plans
+
+let test_gated_exits_leave_session_idle () =
+  let plan = [ Faults.Stall { pid = 0; at = 1; points = 2 } ] in
+  List.iter
+    (fun (exit, max_schedules, max_events, truncates) ->
+      let session, make_body = sweep_scenario_cas_loop () in
+      let stats =
+        Faults.explore ?max_schedules ?max_events session ~n:3 ~make_body
+          ~plan ~on_complete:(fun _ -> truncates) ()
+      in
+      Alcotest.(check bool) (exit ^ ": truncated") truncates
+        stats.Explore.truncated;
+      let idle =
+        match Scheduler.create session with
+        | sched ->
+          ignore (Scheduler.finish sched : Trace.t);
+          true
+        | exception Invalid_argument _ -> false
+      in
+      Alcotest.(check bool) (exit ^ ": session idle") true idle)
+    [ ("abort", None, None, false);
+      ("max_schedules", Some 1, None, true);
+      ("max_events", None, Some 3, true) ]
 
 (* {1 Random fault plans (qcheck)}
 
@@ -562,4 +632,9 @@ let () =
             test_stall_sweep_algorithm_a;
           Alcotest.test_case "all 1-stall plans, cas-loop" `Quick
             test_stall_sweep_cas_loop ] );
+      ( "live gated runs",
+        [ Alcotest.test_case "gated traces = fresh replays" `Quick
+            test_gated_traces_match_replay;
+          Alcotest.test_case "early exits leave the session idle" `Quick
+            test_gated_exits_leave_session_idle ] );
       ("random plans", qsuite qcheck_random_plans) ]

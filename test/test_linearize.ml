@@ -122,6 +122,46 @@ let test_non_monotone_reads () =
   in
   Alcotest.(check bool) "max register went backwards" false (check_max 2 trace)
 
+(* {1 Allocation}
+
+   An exhaustive exploration checks one short history per execution, so
+   the checker's fixed cost per call matters.  A 3-operation history (the
+   shape of the n = 3 model-checking programs) must cost a few hundred
+   words, not a 4096-bucket memo table. *)
+
+(* Minor allocations plus blocks too large for the minor heap, which go
+   straight to the major heap.  [Gc.minor_words] is exact; the minor count
+   of [Gc.counters] only advances at a minor collection. *)
+let allocated_words f =
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let minor0 = Gc.minor_words () and major0 = direct_major () in
+  f ();
+  let minor1 = Gc.minor_words () and major1 = direct_major () in
+  minor1 -. minor0 +. (major1 -. major0)
+
+let test_check_allocation () =
+  let ops =
+    Linearize.History.of_trace
+      (trace_of_script
+         [ (0, `Invoke ("write_max", i 1));
+           (1, `Invoke ("write_max", i 3));
+           (2, `Invoke ("read_max", Simval.Bot));
+           (0, `Return ("write_max", Simval.Bot));
+           (2, `Return ("read_max", i 1));
+           (1, `Return ("write_max", Simval.Bot)) ])
+  in
+  let check () =
+    assert (Linearize.Checker.check (module Linearize.Spec.Max_register) ~n:3 ops)
+  in
+  check ();
+  let words = allocated_words check in
+  Alcotest.(check bool)
+    (Printf.sprintf "3-op check allocates %.0f words (< 1000)" words)
+    true (words < 1000.)
+
 (* {1 Counter spec} *)
 
 let check_counter n trace =
@@ -418,7 +458,9 @@ let () =
           Alcotest.test_case "real-time order" `Quick test_real_time_order;
           Alcotest.test_case "pending may apply" `Quick test_pending_write_may_apply;
           Alcotest.test_case "pending may not apply" `Quick test_pending_write_may_not_apply;
-          Alcotest.test_case "non-monotone reads" `Quick test_non_monotone_reads ] );
+          Alcotest.test_case "non-monotone reads" `Quick test_non_monotone_reads;
+          Alcotest.test_case "3-op check allocates < 1000 words" `Quick
+            test_check_allocation ] );
       ( "other specs",
         [ Alcotest.test_case "counter" `Quick test_counter_spec;
           Alcotest.test_case "snapshot" `Quick test_snapshot_spec;
