@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-all check lint cost tsan chaos dial bench bench-native experiments examples clean doc
+.PHONY: all build test test-all check lint cost tsan chaos dial bench-native bench-dial experiments examples clean doc
 
 all: build
 
@@ -41,6 +41,7 @@ tsan:
 	dune exec test/test_combining.exe
 	dune exec test/test_dial.exe
 	dune exec bin/bench.exe -- --quick --max-domains 2 -o /tmp/tsan-bench.json
+	dune exec bin/bench.exe -- --dial --quick --max-domains 2 -o /tmp/tsan-dial.json
 
 # fault sweeps (exhaustive, simulator) + native chaos soak (~1 min)
 chaos:
@@ -49,18 +50,19 @@ chaos:
 	dune exec bin/stress.exe -- --chaos 42
 
 # tradeoff-dial family: differential/parallel tests, per-dial cost
-# certification, and the frontier sweep (steps + throughput)
+# certification, and a quick frontier sweep (steps + throughput rows)
 dial:
 	dune exec test/test_dial.exe
 	dune exec test/test_cost.exe
 	dune exec bin/bench.exe -- --dial --quick --max-domains 2 -o /tmp/dial-bench.json
 
-bench:
-	dune exec bench/main.exe
-
 # add `-- --baseline OLD.json` to diff against a previous run (warn-only)
 bench-native:
 	dune exec bin/bench.exe -- -o BENCH_NATIVE.json
+
+# the full dial sweep behind BENCH_DIAL.json (48 rows)
+bench-dial:
+	dune exec bin/bench.exe -- --dial -o BENCH_DIAL.json
 
 # regenerate every experiment table (~4 minutes; EXPERIMENTS.md material)
 experiments:

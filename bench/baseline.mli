@@ -26,7 +26,7 @@ type delta = {
   ratio : float;  (** current / baseline *)
 }
 
-val entries_of_doc : Json_out.t -> entry list
+val entries_of_doc : Obs.Json_out.t -> entry list
 (** The well-formed members of a trajectory's ["rows"]; rows missing a
     key field are skipped. *)
 
@@ -65,7 +65,10 @@ type analysis = {
 }
 
 val analyze :
-  ?threshold:float -> baseline:Json_out.t -> current:Json_out.t -> unit ->
+  ?threshold:float ->
+  baseline:Obs.Json_out.t ->
+  current:Obs.Json_out.t ->
+  unit ->
   analysis
 (** Parse and diff both documents once; every other entry point is a
     view over this result. *)
@@ -76,7 +79,10 @@ val render : analysis -> string
     summary line. *)
 
 val report :
-  ?threshold:float -> baseline:Json_out.t -> current:Json_out.t -> unit ->
+  ?threshold:float ->
+  baseline:Obs.Json_out.t ->
+  current:Obs.Json_out.t ->
+  unit ->
   string
 (** [render (analyze ...)] — the one-shot convenience the CLI uses. *)
 

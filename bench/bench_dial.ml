@@ -12,35 +12,14 @@
    envelope columns are injected by the caller — the lint library knows
    the budgets, this module only measures).
 
-   Throughput section (noisy, honest): the zero-alloc unboxed twin of
-   each dial point swept over domain counts and read shares through the
-   same batched-closure harness as {!Bench_native}.  All dial points go
-   through the same indirect instance-record call path, so the ratios
-   between dials are fair even though the absolute numbers sit below
-   what a fused closure would show.  The expected picture is the paper's
-   frontier: read-heavy mixes favour small f (cheap reads), update-heavy
-   mixes favour large f (shallow propagation), with the crossover
-   sliding monotonically in the read share. *)
-
-type config = {
-  n : int;              (* leaves; also the pid space of the boxed family *)
-  domain_counts : int list;
-  read_shares : int list;
-  seconds : float;
-  trials : int;
-  quick : bool;
-}
-
-let config ?(quick = false) ?(n = 64) ?(max_domains = 4) ?seconds ?trials
-    ?(read_shares = [ 0; 50; 90; 99 ]) () =
-  let rec powers d = if d > max_domains then [] else d :: powers (2 * d) in
-  { n;
-    domain_counts = (match powers 1 with [] -> [ 1 ] | ds -> ds);
-    read_shares;
-    seconds =
-      (match seconds with Some s -> s | None -> if quick then 0.05 else 0.2);
-    trials = (match trials with Some t -> t | None -> if quick then 1 else 3);
-    quick }
+   Throughput section (noisy, honest): {!Bench_native}'s dial targets —
+   the unboxed twin of each dial point, called directly from the fused
+   batch loop — swept over domain counts and read shares by the same
+   cell runner, trial protocol and latency/metered passes as the backend
+   sweep.  The expected picture is the paper's frontier: read-heavy
+   mixes favour small f (cheap reads), update-heavy mixes favour large f
+   (shallow propagation), with the crossover sliding in the read
+   share. *)
 
 (* {1 Steps section} *)
 
@@ -100,109 +79,17 @@ let steps_table ?envelope ~n rows =
     ~title:(Printf.sprintf "solo steps, N = %d (Memsim, exact)" n)
     ~header body
 
-(* {1 Throughput section} *)
-
-type row = {
-  t_dial : Treeprim.Dial.t;
-  domains : int;
-  read_pct : int;
-  mops : float;
-  trial_mops : float list;
-  rsd : float;
-}
-
-let pattern_slots = 128
-let bmask = pattern_slots - 1
-let batch = 64
-
-let read_pattern ~read_pct =
-  let reads = ((read_pct * pattern_slots) + 50) / 100 in
-  Array.init pattern_slots (fun i ->
-      ((i + 1) * reads / pattern_slots) - (i * reads / pattern_slots) = 1)
-
-let cell ~cfg ~dial ~domains ~read_pct =
-  let c = Harness.Instances.counter_native_dial ~n:cfg.n dial in
-  let read = c.Counters.Counter.read and increment = c.Counters.Counter.increment in
-  let pat = read_pattern ~read_pct in
-  let op d i =
-    for j = i to i + batch - 1 do
-      if pat.(j land bmask) then ignore (read () : int) else increment ~pid:d
-    done
-  in
-  let trial () =
-    Harness.Throughput.run_batched ~domains ~seconds:cfg.seconds ~batch ~op ()
-    /. 1e6
-  in
-  ignore (trial () : float);  (* warmup, discarded *)
-  let ms = List.init cfg.trials (fun _ -> trial ()) in
-  let sorted = List.sort compare ms in
-  let median = List.nth sorted (List.length sorted / 2) in
-  let mean = List.fold_left ( +. ) 0. ms /. float_of_int (List.length ms) in
-  let var =
-    List.fold_left (fun a m -> a +. ((m -. mean) ** 2.)) 0. ms
-    /. float_of_int (List.length ms)
-  in
-  let rsd = if mean > 0. then sqrt var /. mean else 0. in
-  { t_dial = dial; domains; read_pct; mops = median; trial_mops = ms; rsd }
-
-let sweep ?(progress = fun (_ : string) -> ()) cfg =
-  List.concat_map
-    (fun dial ->
-      List.concat_map
-        (fun domains ->
-          List.map
-            (fun read_pct ->
-              progress
-                (Printf.sprintf "dial=%s d=%d r=%d%%"
-                   (Treeprim.Dial.name dial) domains read_pct);
-              cell ~cfg ~dial ~domains ~read_pct)
-            cfg.read_shares)
-        cfg.domain_counts)
-    Treeprim.Dial.all
-
-let table rows =
-  let body =
-    List.map
-      (fun r ->
-        [ Treeprim.Dial.name r.t_dial;
-          string_of_int r.domains;
-          string_of_int r.read_pct;
-          Printf.sprintf "%.2f" r.mops;
-          Printf.sprintf "%.0f%%" (100. *. r.rsd) ])
-      rows
-  in
-  Harness.Tables.render ~title:"dial sweep (Mops/s, median)"
-    ~header:[ "dial"; "domains"; "read%"; "Mops/s"; "rsd" ]
-    body
-
 (* {1 JSON trajectory} *)
 
 let to_json ~cfg ~steps rows =
-  let open Json_out in
-  Obj
-    [ ("schema", Str "bench-dial/v1");
-      ("n", Int cfg.n);
-      ("quick", Bool cfg.quick);
-      ( "steps",
-        List
-          (Stdlib.List.map
-             (fun s ->
-               Obj
-                 [ ("dial", Str (Treeprim.Dial.name s.dial));
-                   ("f", Int s.f);
-                   ("read_steps", Int s.read_steps);
-                   ("inc_steps", Int s.inc_steps) ])
-             steps) );
-      ( "rows",
-        List
-          (Stdlib.List.map
-             (fun r ->
-               Obj
-                 [ ("dial", Str (Treeprim.Dial.name r.t_dial));
-                   ("domains", Int r.domains);
-                   ("read_pct", Int r.read_pct);
-                   ("mops", Float r.mops);
-                   ("rsd", Float r.rsd);
-                   ( "trial_mops",
-                     List (Stdlib.List.map (fun m -> Float m) r.trial_mops) ) ])
-             rows) ) ]
+  let open Obs.Json_out in
+  let step s =
+    Obj
+      [ ("dial", Str (Treeprim.Dial.name s.dial));
+        ("f", Int s.f);
+        ("read_steps", Int s.read_steps);
+        ("inc_steps", Int s.inc_steps) ]
+  in
+  Bench_native.to_json ~schema:"bench-dial/v2"
+    ~sections:[ ("steps", List (List.map step steps)) ]
+    ~cfg rows

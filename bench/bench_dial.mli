@@ -1,30 +1,11 @@
 (** The tradeoff-dial sweep (bin/bench.exe --dial): Theorem 1's
     read/update frontier measured, not just certified.
 
-    Two independent sections: exact solo step counts per dial point over
-    Memsim (read Θ(f) vs increment O(log(N/f))), and a noisy-but-honest
-    throughput sweep of the unboxed twins over domains × read share —
-    the crossover between dial points slides monotonically with the read
-    share, which is the paper's tradeoff made operational. *)
-
-type config = {
-  n : int;
-  domain_counts : int list;
-  read_shares : int list;
-  seconds : float;
-  trials : int;
-  quick : bool;
-}
-
-val config :
-  ?quick:bool ->
-  ?n:int ->
-  ?max_domains:int ->
-  ?seconds:float ->
-  ?trials:int ->
-  ?read_shares:int list ->
-  unit ->
-  config
+    Two sections: exact solo step counts per dial point over Memsim
+    (read Θ(f) vs increment O(log(N/f))), and the throughput rows of
+    {!Bench_native}'s dial targets over domains × read share — the
+    crossover between dial points slides with the read share, which is
+    the paper's tradeoff made operational. *)
 
 (** {1 Exact solo steps (Memsim)} *)
 
@@ -44,20 +25,13 @@ val steps_table :
     as extra columns — injected by the caller so benchkit itself does
     not depend on the lint library. *)
 
-(** {1 Throughput sweep (unboxed twins)} *)
+(** {1 JSON trajectory} *)
 
-type row = {
-  t_dial : Treeprim.Dial.t;
-  domains : int;
-  read_pct : int;
-  mops : float;  (** median over trials *)
-  trial_mops : float list;
-  rsd : float;
-}
-
-val sweep : ?progress:(string -> unit) -> config -> row list
-val table : row list -> string
-
-val to_json : cfg:config -> steps:step_row list -> row list -> Json_out.t
-(** Schema ["bench-dial/v1"]: a ["steps"] section and a ["rows"]
-    section. *)
+val to_json :
+  cfg:Bench_native.config ->
+  steps:step_row list ->
+  Bench_native.row list ->
+  Obs.Json_out.t
+(** Schema ["bench-dial/v2"]: {!Bench_native.to_json}'s host and config
+    sections, a ["steps"] section, and ["rows"] in the
+    ["bench-native/v5"] row shape. *)

@@ -1,14 +1,20 @@
-(* The domain-scaling benchmark behind bin/bench.exe: the int-specialized
-   implementations (all but aac-unbounded-b1, see [targets]), boxed
-   (Simval Atomic) vs unboxed (padded int Atomic) vs flat-combining
-   backend, swept over domain counts and read shares, with shared warmup
-   and interleaved trials.  This is where the constant-factor story of
-   the paper's O(1)-read structures is measured honestly: same
-   algorithms, same step counts, only the base-object representation
-   (and, for the combining backend, the update submission protocol)
-   changes.  Every closure writes through a per-domain value cursor that
-   persists across all of a cell's passes, so no trial re-times writes
-   an earlier one already made.
+(* The native sweep behind bin/bench.exe, for both of its target sets:
+
+   - the backend sweep: the int-specialized implementations (all but
+     aac-unbounded-b1, see [targets]), boxed (Simval Atomic) vs unboxed
+     (padded int Atomic) vs flat-combining backend.  This is where the
+     constant-factor story of the paper's O(1)-read structures is
+     measured honestly: same algorithms, same step counts, only the
+     base-object representation (and, for the combining backend, the
+     update submission protocol) changes;
+   - the dial sweep ([bench --dial], see {!Bench_dial}): the unboxed
+     {!Counters.Dial_counter} at each of the four dial points, N = 64
+     ([dial_targets]).
+
+   Either is swept over domain counts and read shares, with shared
+   warmup and interleaved trials.  Every closure writes through a
+   per-domain value cursor that persists across all of a cell's passes,
+   so no trial re-times writes an earlier one already made.
 
    Each cell runs three kinds of pass:
 
@@ -34,10 +40,12 @@
      rows.
 
    Results are emitted both as a table (stdout) and as machine-readable
-   JSON (BENCH_NATIVE.json, schema "bench-native/v5") so future changes
-   have a perf trajectory to regress against (see {!Baseline}). *)
+   JSON (BENCH_NATIVE.json, schema "bench-native/v5"; the dial sweep
+   wraps the same rows in BENCH_DIAL.json) so future changes have a perf
+   trajectory to regress against (see {!Baseline}). *)
 
 type config = {
+  dial : bool;             (* the dial targets instead of the backend ones *)
   domain_counts : int list;
   read_shares : int list;  (* percent of operations that are reads *)
   seconds : float;         (* per timed trial *)
@@ -46,11 +54,12 @@ type config = {
   quick : bool;
 }
 
-let config ?(quick = false) ?(max_domains = 4) ?seconds ?trials
-    ?(read_shares = [ 0; 50; 90; 99 ]) () =
+let config ?(quick = false) ?(dial = false) ?(max_domains = 4) ?seconds
+    ?trials ?(read_shares = [ 0; 50; 90; 99 ]) () =
   let rec powers d = if d > max_domains then [] else d :: powers (2 * d) in
   let domain_counts = match powers 1 with [] -> [ 1 ] | ds -> ds in
-  { domain_counts;
+  { dial;
+    domain_counts;
     read_shares;
     seconds = (match seconds with Some s -> s | None -> if quick then 0.05 else 0.3);
     warmup_seconds = (if quick then 0.02 else 0.15);
@@ -101,11 +110,12 @@ type row = {
 
    The modules measured are exactly the ones the registry
    ({!Harness.Instances.maxreg_native} / [_native_fast] /
-   [_native_combining]) hands out; only the call path is flattened here.
-   The metered pass, by contrast, goes through the registry's
-   [_native_metered] / [_native_combining_metered] instances — indirect
-   calls, which is fine: its numbers are distributions and counts, not
-   the throughput of record. *)
+   [_native_combining] / [counter_native_dial]) hands out; only the call
+   path is flattened here.  The metered pass, by contrast, goes through
+   the registry's [_native_metered] / [_native_combining_metered] /
+   [counter_native_dial_metered] instances — indirect calls, which is
+   fine: its numbers are distributions and counts, not the throughput of
+   record. *)
 
 let pattern_slots = 128
 let mask = pattern_slots - 1
@@ -144,6 +154,7 @@ let with_cursor ~domains op =
 type kind =
   | Maxreg of Harness.Instances.maxreg_impl
   | Counter of Harness.Instances.counter_impl
+  | Dial of Treeprim.Dial.t
 
 type backend = [ `Boxed | `Unboxed | `Combining ]
 
@@ -153,7 +164,7 @@ type target = {
   structure : string;
   impl_name : string;
   kind : kind;
-  has_combining : bool;
+  backends : backend list;
   mk :
     backend:backend ->
     n:int ->
@@ -170,6 +181,7 @@ module AU = Maxreg.Algorithm_a.Unboxed
 module CU = Maxreg.Cas_maxreg.Unboxed
 module FU = Counters.Farray_counter.Unboxed
 module NU = Counters.Naive_counter.Unboxed
+module DU = Counters.Dial_counter.Unboxed
 module AC = Harness.Combining.Alg_a
 module FC = Harness.Combining.Farray_c
 
@@ -185,7 +197,7 @@ let alg_a_target =
   { structure = "max-register";
     impl_name = Harness.Instances.maxreg_name Harness.Instances.Algorithm_a;
     kind = Maxreg Harness.Instances.Algorithm_a;
-    has_combining = true;
+    backends = [ `Boxed; `Unboxed; `Combining ];
     mk =
       (fun ~backend ~n ~domains ~pattern ->
         (* One closure builder shared by the unboxed backend and the
@@ -235,7 +247,7 @@ let cas_target =
   { structure = "max-register";
     impl_name = Harness.Instances.maxreg_name Harness.Instances.Cas_maxreg;
     kind = Maxreg Harness.Instances.Cas_maxreg;
-    has_combining = false;
+    backends = [ `Boxed; `Unboxed ];
     mk =
       (fun ~backend ~n ~domains ~pattern ->
         ignore n;
@@ -267,7 +279,7 @@ let farray_target =
     impl_name =
       Harness.Instances.counter_name Harness.Instances.Farray_counter;
     kind = Counter Harness.Instances.Farray_counter;
-    has_combining = true;
+    backends = [ `Boxed; `Unboxed; `Combining ];
     mk =
       (fun ~backend ~n ~domains ~pattern ->
         (* shared for the same code-placement reason as algorithm-a *)
@@ -307,7 +319,7 @@ let naive_target =
   { structure = "counter";
     impl_name = Harness.Instances.counter_name Harness.Instances.Naive_counter;
     kind = Counter Harness.Instances.Naive_counter;
-    has_combining = false;
+    backends = [ `Boxed; `Unboxed ];
     mk =
       (fun ~backend ~n ~domains:_ ~pattern ->
         match backend with
@@ -338,12 +350,37 @@ let naive_target =
    exhausted an 8 GB host by the fourth trial round. *)
 let targets = [ alg_a_target; cas_target; farray_target; naive_target ]
 
-let backends_of (t : target) : backend list =
-  if t.has_combining then [ `Boxed; `Unboxed; `Combining ]
-  else [ `Boxed; `Unboxed ]
+(* The dial sweep: Theorem 1's frontier at N = [dial_n], one target per
+   dial point, unboxed only (the family's boxed twin runs under Memsim,
+   where {!Bench_dial}'s steps section counts its accesses). *)
+let dial_n = 64
+
+let dial_target dial =
+  { structure = "counter";
+    impl_name = "dial-" ^ Treeprim.Dial.name dial;
+    kind = Dial dial;
+    backends = [ `Unboxed ];
+    mk =
+      (fun ~backend ~n ~domains:_ ~pattern ->
+        match backend with
+        | `Unboxed ->
+          let c = DU.create ~n ~dial () in
+          ( (fun d i0 ->
+              for k = 0 to batch - 1 do
+                if Array.unsafe_get pattern ((i0 + k) land mask) then
+                  ignore (DU.read c : int)
+                else DU.increment c ~pid:d
+              done),
+            fun () -> DU.read c )
+        | `Boxed | `Combining ->
+          invalid_arg "the dial sweep has only the unboxed backend") }
+
+let dial_targets = List.map dial_target Treeprim.Dial.all
+
+let targets_of cfg = if cfg.dial then dial_targets else targets
 
 let timed_cell kind ~backend ~n ~domains ~read_pct =
-  let t = List.find (fun t -> t.kind = kind) targets in
+  let t = List.find (fun t -> t.kind = kind) (targets @ dial_targets) in
   let op, read = t.mk ~backend ~n ~domains ~pattern:(read_pattern ~read_pct) in
   (with_cursor ~domains op, read)
 
@@ -432,8 +469,11 @@ let backend_name : backend -> string = function
 (* Structures are sized once for the sweep's largest domain count (the
    usual benchmark convention: a structure built for P processes, of which
    [domains] are active), so single-domain rows exercise the same tree
-   depths as the scaled rows rather than a degenerate one-leaf instance. *)
-let structure_n cfg = List.fold_left max 1 cfg.domain_counts
+   depths as the scaled rows rather than a degenerate one-leaf instance.
+   The dial sweep fixes N instead: its dial points only differ at an N
+   with distinct f = 1, log N, sqrt N, N. *)
+let structure_n cfg =
+  if cfg.dial then dial_n else List.fold_left max 1 cfg.domain_counts
 
 (* {1 The sweep}
 
@@ -474,8 +514,8 @@ let make_cells cfg =
                     c_trials = [] })
                 cfg.read_shares)
             cfg.domain_counts)
-        (backends_of target))
-    targets
+        target.backends)
+    (targets_of cfg)
 
 (* The metered pass of one cell: the cell's workload through the
    instrumented registry instance of its backend, separate from the
@@ -531,6 +571,11 @@ let metered_pass ~cfg (c : cell) =
       in
       run (counter_metered_op ~metrics ~inst ~domains ~pattern);
       (Some arena, None)
+    | Dial dial, _ ->
+      (* dial targets build unboxed cells only *)
+      let inst = Harness.Instances.counter_native_dial_metered ~metrics ~n dial in
+      run (counter_metered_op ~metrics ~inst ~domains ~pattern);
+      (None, None)
   in
   Option.iter
     (fun a ->
@@ -625,12 +670,13 @@ let sweep ?(progress = fun _ -> ()) cfg =
 let table rows =
   Harness.Tables.render
     ~title:
-      "Native domain-scaling throughput: boxed (Simval Atomic) vs unboxed \
-       (padded int Atomic) vs flat-combining backends (Mops/s, median of \
-       interleaved trials; rsd = stddev/mean, '!' over 0.25; '*' marks \
-       oversubscribed domain counts; latency percentiles from the latency \
-       pass; CAS failure rate and stale% = max-register writes at or below \
-       the max read just before them, from the metered pass)"
+      "Native throughput per (structure, impl, backend): boxed = Simval \
+       Atomic, unboxed = padded int Atomic, combining = flat combining \
+       (Mops/s, median of interleaved trials; rsd = stddev/mean, '!' over \
+       0.25; '*' marks oversubscribed domain counts; latency percentiles \
+       from the latency pass; CAS failure rate and stale% = max-register \
+       writes at or below the max read just before them, from the metered \
+       pass)"
     ~header:
       [ "structure"; "impl"; "backend"; "domains"; "read%"; "Mops/s"; "rsd";
         "p50ns"; "p99ns"; "cas-fail%"; "stale%" ]
@@ -655,73 +701,68 @@ let table rows =
 let schema_version = "bench-native/v5"
 
 let metrics_json (m : Obs.Metrics.totals) =
-  Obs.Json_out.Obj
-    [ ("cas_attempts", Obs.Json_out.Int m.cas_attempts);
-      ("cas_failures", Obs.Json_out.Int m.cas_failures);
-      ("cas_failure_rate", Obs.Json_out.Float (Obs.Metrics.cas_failure_rate m));
-      ("refresh_rounds", Obs.Json_out.Int m.refresh_rounds);
-      ("helps", Obs.Json_out.Int m.helps);
-      ("op_reads", Obs.Json_out.Int m.op_reads);
-      ("op_updates", Obs.Json_out.Int m.op_updates);
-      ("fault_yields", Obs.Json_out.Int m.fault_yields);
-      ("fault_gcs", Obs.Json_out.Int m.fault_gcs);
-      ("fault_stalls", Obs.Json_out.Int m.fault_stalls);
-      ("combined_ops", Obs.Json_out.Int m.combined_ops);
-      ("batches", Obs.Json_out.Int m.batches);
-      ("batch_max", Obs.Json_out.Int m.batch_max);
-      ("eliminations", Obs.Json_out.Int m.eliminations);
-      ("combiner_locks", Obs.Json_out.Int m.combiner_locks) ]
+  let open Obs.Json_out in
+  Obj
+    [ ("cas_attempts", Int m.cas_attempts);
+      ("cas_failures", Int m.cas_failures);
+      ("cas_failure_rate", Float (Obs.Metrics.cas_failure_rate m));
+      ("refresh_rounds", Int m.refresh_rounds);
+      ("helps", Int m.helps);
+      ("op_reads", Int m.op_reads);
+      ("op_updates", Int m.op_updates);
+      ("fault_yields", Int m.fault_yields);
+      ("fault_gcs", Int m.fault_gcs);
+      ("fault_stalls", Int m.fault_stalls);
+      ("combined_ops", Int m.combined_ops);
+      ("batches", Int m.batches);
+      ("batch_max", Int m.batch_max);
+      ("eliminations", Int m.eliminations);
+      ("combiner_locks", Int m.combiner_locks) ]
 
-let to_json ~cfg rows =
-  Json_out.Obj
-    [ ("schema", Json_out.Str schema_version);
-      ( "host",
-        Json_out.Obj
-          [ ("ocaml", Json_out.Str Sys.ocaml_version);
-            ("word_size", Json_out.Int Sys.word_size);
-            ( "recommended_domains",
-              Json_out.Int (Harness.Throughput.recommended_domains ()) ) ] );
-      ( "config",
-        Json_out.Obj
-          [ ("quick", Json_out.Bool cfg.quick);
-            ("structure_n", Json_out.Int (structure_n cfg));
-            ( "domain_counts",
-              Json_out.List (List.map (fun d -> Json_out.Int d) cfg.domain_counts) );
-            ( "read_shares",
-              Json_out.List (List.map (fun s -> Json_out.Int s) cfg.read_shares) );
-            ("seconds_per_trial", Json_out.Float cfg.seconds);
-            ("warmup_seconds", Json_out.Float cfg.warmup_seconds);
-            ("trials", Json_out.Int cfg.trials);
-            ("batch", Json_out.Int batch) ] );
-      ( "rows",
-        Json_out.List
-          (List.map
-             (fun (r : row) ->
-               Json_out.Obj
-                 [ ("structure", Json_out.Str r.structure);
-                   ("impl", Json_out.Str r.impl);
-                   ("backend", Json_out.Str r.backend);
-                   ("domains", Json_out.Int r.domains);
-                   ("read_pct", Json_out.Int r.read_pct);
-                   ("mops", Json_out.Float r.mops);
-                   ( "trial_mops",
-                     Json_out.List
-                       (List.map (fun m -> Json_out.Float m) r.trial_mops) );
-                   ("rsd", Json_out.Float r.rsd);
-                   ("oversubscribed", Json_out.Bool r.oversubscribed);
-                   ( "stale_share",
-                     match r.stale_share with
-                     | None -> Json_out.Null
-                     | Some s -> Json_out.Float s );
-                   ( "latency_ns",
-                     Json_out.Obj
-                       [ ("p50", Json_out.Float r.lat_p50);
-                         ("p95", Json_out.Float r.lat_p95);
-                         ("p99", Json_out.Float r.lat_p99);
-                         ("max", Json_out.Float r.lat_max);
-                         ("samples", Json_out.Int r.lat_samples) ] );
-                   ( "metrics",
-                     match r.metrics with
-                     | None -> Json_out.Null
-                     | Some m -> metrics_json m ) ])
-             rows) ) ]
+let row_json (r : row) =
+  let open Obs.Json_out in
+  Obj
+    [ ("structure", Str r.structure);
+      ("impl", Str r.impl);
+      ("backend", Str r.backend);
+      ("domains", Int r.domains);
+      ("read_pct", Int r.read_pct);
+      ("mops", Float r.mops);
+      ("trial_mops", List (List.map (fun m -> Float m) r.trial_mops));
+      ("rsd", Float r.rsd);
+      ("oversubscribed", Bool r.oversubscribed);
+      ( "stale_share",
+        match r.stale_share with None -> Null | Some s -> Float s );
+      ( "latency_ns",
+        Obj
+          [ ("p50", Float r.lat_p50);
+            ("p95", Float r.lat_p95);
+            ("p99", Float r.lat_p99);
+            ("max", Float r.lat_max);
+            ("samples", Int r.lat_samples) ] );
+      ("metrics", match r.metrics with None -> Null | Some m -> metrics_json m)
+    ]
+
+let to_json ?(schema = schema_version) ?(sections = []) ~cfg rows =
+  let open Obs.Json_out in
+  let ints xs = List (List.map (fun x -> Int x) xs) in
+  Obj
+    ([ ("schema", Str schema);
+       ( "host",
+         Obj
+           [ ("ocaml", Str Sys.ocaml_version);
+             ("word_size", Int Sys.word_size);
+             ( "recommended_domains",
+               Int (Harness.Throughput.recommended_domains ()) ) ] );
+       ( "config",
+         Obj
+           [ ("quick", Bool cfg.quick);
+             ("structure_n", Int (structure_n cfg));
+             ("domain_counts", ints cfg.domain_counts);
+             ("read_shares", ints cfg.read_shares);
+             ("seconds_per_trial", Float cfg.seconds);
+             ("warmup_seconds", Float cfg.warmup_seconds);
+             ("trials", Int cfg.trials);
+             ("batch", Int batch) ] ) ]
+    @ sections
+    @ [ ("rows", List (List.map row_json rows)) ])

@@ -1,8 +1,10 @@
-(** The domain-scaling benchmark behind [bin/bench.exe]: max registers
-    and counters over three backends — boxed (Simval Atomic), unboxed
-    (padded int Atomic) and flat-combining ({!Harness.Combining} over a
-    {!Smem.Combine} arena, for algorithm-a and the f-array counter) —
-    swept over domain counts and read shares.
+(** The native sweep behind [bin/bench.exe].  The backend sweep
+    runs max registers and counters over three backends — boxed (Simval
+    Atomic), unboxed (padded int Atomic) and flat-combining
+    ({!Harness.Combining} over a {!Smem.Combine} arena, for algorithm-a
+    and the f-array counter); the dial sweep ([bench --dial]) runs the
+    unboxed {!Counters.Dial_counter} at each dial point, N = {!dial_n}.
+    Either is swept over domain counts and read shares.
     All cells are built up front and their throughput trials run in
     interleaved rounds so host drift lands evenly; rows are medians with
     a relative-stddev noise figure.  Every cell writes through a
@@ -16,6 +18,7 @@ type config
 
 val config :
   ?quick:bool ->
+  ?dial:bool ->
   ?max_domains:int ->
   ?seconds:float ->
   ?trials:int ->
@@ -23,6 +26,8 @@ val config :
   unit ->
   config
 (** [quick] (default false) shrinks seconds/trials to CI-smoke values;
+    [dial] (default false) sweeps the dial targets instead of the
+    backend ones;
     [max_domains] (default 4) bounds the 1,2,4,.. domain sweep;
     [seconds]/[trials] override the per-trial duration and trial count;
     [read_shares] (default [[0; 50; 90; 99]]) is the read-percentage
@@ -33,8 +38,12 @@ type row
 type kind =
   | Maxreg of Harness.Instances.maxreg_impl
   | Counter of Harness.Instances.counter_impl
+  | Dial of Treeprim.Dial.t  (** unboxed backend only *)
 
 type backend = [ `Boxed | `Unboxed | `Combining ]
+
+val dial_n : int
+(** N of the dial sweep's counters (64: f = 1, 6, 8, 64). *)
 
 val timed_cell :
   kind ->
@@ -70,10 +79,17 @@ val rsd : float list -> float
 val table : row list -> string
 (** Rendered throughput/latency table. *)
 
-val to_json : cfg:config -> row list -> Json_out.t
+val to_json :
+  ?schema:string ->
+  ?sections:(string * Obs.Json_out.t) list ->
+  cfg:config ->
+  row list ->
+  Obs.Json_out.t
 (** The machine-readable trajectory (schema "bench-native/v5": v4 minus
     the adaptive backend and its [epoch_flips] /
     [time_in_combining_pct] fields, plus a per-row [stale_share] — the
     max registers' measured share of metered-pass writes at or below the
     max read just before them, [null] on counters) consumed by
-    EXPERIMENTS.md, the CI smoke job and {!Baseline}. *)
+    EXPERIMENTS.md, the CI smoke job and {!Baseline}.  [schema]
+    overrides the schema name and [sections] go between ["config"] and
+    ["rows"]; {!Bench_dial.to_json} uses both. *)

@@ -1,6 +1,6 @@
-(* bin/bench.exe — the domain-scaling native-backend benchmark.
+(* bin/bench.exe — the domain-scaling native benchmark.
 
-     bench [--quick] [--out BENCH_NATIVE.json] [--baseline FILE]
+     bench [--dial] [--quick] [--out BENCH_NATIVE.json] [--baseline FILE]
            [--max-domains P] [--seconds S] [--trials T]
            [--read-shares 0,50,90,99]
 
@@ -11,22 +11,35 @@
    the stale-write share of every max-register row) used by
    EXPERIMENTS.md and the CI smoke job.  With [--baseline] the
    fresh rows are diffed against a previously written trajectory —
-   warn-only: regressions are reported, never fatal. *)
+   warn-only: regressions are reported, never fatal.  With [--dial] the
+   same sweep runs over the tradeoff-dial counters instead and writes
+   BENCH_DIAL.json (schema "bench-dial/v2"). *)
 
 open Cmdliner
 
-(* --dial: the tradeoff-dial sweep instead of the backend sweep.  The
-   certified step ceilings printed next to the measured solo steps come
-   from the same budget functions the C1 certifier enforces, so the
-   table is "measured frontier vs certified envelope" line by line. *)
-let run_dial quick out max_domains seconds trials read_shares =
-  let cfg =
-    Benchkit.Bench_dial.config ~quick ~max_domains ?seconds ?trials
-      ~read_shares ()
+(* The sweep both modes run; [progress] lines go to stderr. *)
+let sweep cfg =
+  let rows =
+    Benchkit.Bench_native.sweep
+      ~progress:(fun what -> Printf.eprintf "bench: %s\n%!" what)
+      cfg
   in
-  let steps = Benchkit.Bench_dial.steps_rows ~n:cfg.Benchkit.Bench_dial.n in
+  print_string (Benchkit.Bench_native.table rows);
+  rows
+
+let write out doc rows =
+  Obs.Json_out.to_file out doc;
+  Printf.printf "\nwrote %s (%d rows)\n" out (List.length rows)
+
+(* --dial: the tradeoff-dial targets instead of the backend ones, after
+   the exact solo steps.  The certified step ceilings printed next to
+   the measured solo steps come from the same budget functions the C1
+   certifier enforces, so the table is "measured frontier vs certified
+   envelope" line by line. *)
+let run_dial cfg out =
+  let n = Benchkit.Bench_native.dial_n in
+  let steps = Benchkit.Bench_dial.steps_rows ~n in
   let envelope dial =
-    let n = cfg.Benchkit.Bench_dial.n in
     let f = Treeprim.Dial.width ~n dial in
     let env b =
       match Lint.Summary.envelope ~n b with Some e -> e | None -> max_int
@@ -34,41 +47,22 @@ let run_dial quick out max_domains seconds trials read_shares =
     ( env (Lint.Budgets.dial_read_budget ~f ~n),
       env (Lint.Budgets.dial_update_budget ~f ~n) )
   in
-  print_string
-    (Benchkit.Bench_dial.steps_table ~envelope ~n:cfg.Benchkit.Bench_dial.n
-       steps);
+  print_string (Benchkit.Bench_dial.steps_table ~envelope ~n steps);
   print_newline ();
-  let rows =
-    Benchkit.Bench_dial.sweep
-      ~progress:(fun what -> Printf.eprintf "bench: %s\n%!" what)
-      cfg
-  in
-  print_string (Benchkit.Bench_dial.table rows);
-  let doc = Benchkit.Bench_dial.to_json ~cfg ~steps rows in
+  let rows = sweep cfg in
   let out = if out = "BENCH_NATIVE.json" then "BENCH_DIAL.json" else out in
-  Benchkit.Json_out.to_file out doc;
-  Printf.printf "\nwrote %s (%d rows)\n" out (List.length rows)
+  write out (Benchkit.Bench_dial.to_json ~cfg ~steps rows) rows
 
-let run_backends quick out baseline max_domains seconds trials read_shares =
-  let cfg =
-    Benchkit.Bench_native.config ~quick ~max_domains ?seconds ?trials
-      ~read_shares ()
-  in
-  let rows =
-    Benchkit.Bench_native.sweep
-      ~progress:(fun what -> Printf.eprintf "bench: %s\n%!" what)
-      cfg
-  in
-  print_string (Benchkit.Bench_native.table rows);
+let run_backends cfg out baseline =
+  let rows = sweep cfg in
   let doc = Benchkit.Bench_native.to_json ~cfg rows in
-  Benchkit.Json_out.to_file out doc;
-  Printf.printf "\nwrote %s (%d rows)\n" out (List.length rows);
+  write out doc rows;
   match baseline with
   | None -> ()
   | Some file ->
     (match
        let contents = In_channel.with_open_text file In_channel.input_all in
-       Benchkit.Json_out.parse contents
+       Obs.Json_out.parse contents
      with
      | base ->
        print_newline ();
@@ -76,20 +70,24 @@ let run_backends quick out baseline max_domains seconds trials read_shares =
          (Benchkit.Baseline.report ~baseline:base ~current:doc ())
      | exception Sys_error msg ->
        Printf.eprintf "bench: cannot read baseline: %s\n" msg
-     | exception Benchkit.Json_out.Parse_error msg ->
+     | exception Obs.Json_out.Parse_error msg ->
        Printf.eprintf "bench: baseline %s does not parse: %s\n" file msg)
 
 let run dial quick out baseline max_domains seconds trials read_shares =
-  if dial then run_dial quick out max_domains seconds trials read_shares
-  else run_backends quick out baseline max_domains seconds trials read_shares
+  let cfg =
+    Benchkit.Bench_native.config ~quick ~dial ~max_domains ?seconds ?trials
+      ~read_shares ()
+  in
+  if dial then run_dial cfg out else run_backends cfg out baseline
 
 let dial =
   Arg.(value & flag
        & info [ "dial" ]
            ~doc:
              "Run the tradeoff-dial sweep (Dial_counter at every dial \
-              point: exact solo steps vs the certified envelope, then a \
-              throughput sweep) instead of the backend sweep.  Writes \
+              point, N = 64: exact solo steps vs the certified envelope, \
+              then the unboxed dial targets through the same sweep) \
+              instead of the backend sweep.  Writes \
               BENCH_DIAL.json unless --out is given.")
 
 let quick =

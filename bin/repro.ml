@@ -1,6 +1,6 @@
 (* The experiment driver: regenerates every table of EXPERIMENTS.md.
 
-     repro e1 | e2 | e3 | e4 | e5 | e6 | e7 | e8 | f4 | all
+     repro e1 | e2 | e3 | e4 | e5 | e6 | e8 | e9 | e10 | f4 | a1 | a2 | all
 
    Sizes are chosen so `repro all` completes in a couple of minutes; pass
    --quick for a fast smoke pass.  `--trace out.json` additionally dumps a
@@ -63,11 +63,6 @@ let experiments :
         no_trace trace_out;
         let schedules = if quick then 50 else 400 in
         Experiments.E6_linearizability.run ~schedules () );
-    ( "e7", "native multi-domain throughput (the O(1)-read payoff)",
-      fun ~quick ~trace_out ->
-        no_trace trace_out;
-        let seconds = if quick then 0.1 else 0.5 in
-        Experiments.E7_native.run ~seconds () );
     ( "e8", "Lemma 1 growth profile + the Definition 1 visibility finding",
       fun ~quick ~trace_out ->
         no_trace trace_out;

@@ -366,9 +366,9 @@ let counter_native_combining_metered ~metrics ~n ~domains ~bound impl :
    (liveness matrices, DPOR sweeps, repro experiments) through four more
    rows.  The boxed [_over]/[_sim] constructors run the family under
    Memsim, DPOR and the fault layer; the [_native_dial] ones are the
-   zero-alloc unboxed twins, with [_metered] variants mirroring the
-   other native constructors (a disabled handle returns the
-   uninstrumented instance). *)
+   zero-alloc unboxed twins.  The counter's [_metered] variant (the dial
+   sweep's metered pass) mirrors the other native constructors: a
+   disabled handle returns the uninstrumented instance. *)
 
 let counter_dial_over (module M : Smem.Memory_intf.MEMORY) ~n dial :
     Counters.Counter.instance =
@@ -403,13 +403,3 @@ let counter_native_dial_metered ~metrics ~n dial :
     meter_counter ~metrics
       { increment = (fun ~pid -> C.increment_metered c ~metrics ~pid);
         read = (fun () -> C.read c) }
-
-let maxreg_native_dial_metered ~metrics ~n dial :
-    Maxreg.Max_register.instance =
-  if not (Obs.Metrics.enabled metrics) then maxreg_native_dial ~n dial
-  else
-    let module A = Maxreg.Dial_maxreg.Unboxed in
-    let reg = A.create ~n ~dial () in
-    meter_maxreg ~metrics
-      { read_max = (fun () -> A.read_max reg);
-        write_max = (fun ~pid v -> A.write_max_metered reg ~metrics ~pid v) }

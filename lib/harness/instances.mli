@@ -175,8 +175,9 @@ val counter_native_combining_metered :
     dial is a parameter of one construction, not a new algorithm).  The
     boxed [_over]/[_sim] constructors run every dial point under Memsim,
     DPOR and the fault layer; [_native_dial] builds the zero-alloc
-    unboxed twin, and [_metered] mirrors the other native constructors
-    (a disabled handle returns the uninstrumented instance). *)
+    unboxed twin, and the counter's [_metered] variant (the metered pass
+    of the dial sweep) mirrors the other native constructors: a disabled
+    handle returns the uninstrumented instance. *)
 
 val counter_dial_over :
   (module Smem.Memory_intf.MEMORY) ->
@@ -201,7 +202,3 @@ val maxreg_native_dial :
 val counter_native_dial_metered :
   metrics:Obs.Metrics.t ->
   n:int -> Treeprim.Dial.t -> Counters.Counter.instance
-
-val maxreg_native_dial_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> Treeprim.Dial.t -> Maxreg.Max_register.instance

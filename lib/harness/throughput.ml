@@ -1,5 +1,5 @@
-(* Domain-parallel throughput measurement, shared by experiment E7 and
-   bin/bench.exe.
+(* Domain-parallel throughput measurement, shared by bin/bench.exe,
+   experiment E10b and the repository benchmark.
 
    Two distortions the obvious loop suffers from, both fixed here:
 
@@ -103,9 +103,6 @@ let run_batched ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ~domains
     float_of_int total /. (t1 -. t0)
   end
 
-let run_mix ~domains ~seconds ~op =
-  run_batched ~domains ~seconds ~batch:1 ~op ()
-
 (* Centralized so callers (experiments, bench drivers) need no direct
    [Domain] reference — rule R1 of bin/lint.exe confines the Domain API
    to this module. *)
@@ -114,81 +111,24 @@ let recommended_domains ?(floor = 1) ?(cap = max_int) () =
 
 (* {1 Latency-recording runner}
 
-   Same protocol as [run_batched], but each worker additionally times
-   every batched [op] call with the monotonic clock and records the
-   per-operation latency (call duration / batch) into its own
-   {!Obs.Histogram.t} — single-writer, merged by the caller after this
-   function returns.  The clock read pair costs ~40ns per batch call
-   (amortized to sub-ns per op at batch 64) plus one boxed int64 per
-   call, which is why this runner is separate: throughput rows come from
-   the unclocked loop above, percentiles from a dedicated metered pass. *)
+   The same window protocol as [run_batched] (it is [run_batched], with a
+   clocking op): each batched [op] call is timed with the monotonic clock
+   and its per-operation latency (call duration / batch) recorded into
+   the calling domain's {!Obs.Histogram.t} — single-writer, merged by the
+   caller after this function returns.  The clock read pair costs ~40ns
+   per batch call (amortized to sub-ns per op at batch 64) plus one boxed
+   int64 per call, which is why latency is a separate pass: throughput
+   rows come from the unclocked op, percentiles from this one. *)
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-let run_batched_latency ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf)
-    ~domains ~seconds ~batch ~(hist : Obs.Histogram.t array)
-    ~(op : int -> int -> unit) () =
+let run_batched_latency ?now ?sleep ~domains ~seconds ~batch
+    ~(hist : Obs.Histogram.t array) ~(op : int -> int -> unit) () =
   if Array.length hist < domains then
     invalid_arg "Throughput.run_batched_latency: need one histogram per domain";
-  if domains = 1 then begin
-    let h = hist.(0) in
-    let deadline = now () +. seconds in
-    let done_ops = ref 0 in
-    let t0 = now () in
-    while now () < deadline do
-      let c0 = now_ns () in
-      op 0 !done_ops;
-      let c1 = now_ns () in
-      Obs.Histogram.record h ((c1 - c0) / batch);
-      done_ops := !done_ops + batch
-    done;
-    let t1 = now () in
-    float_of_int !done_ops /. (t1 -. t0)
-  end
-  else begin
-    let ready = Atomic.make 0 in
-    let go = Atomic.make false in
-    let stop = Atomic.make false in
-    let acked = Atomic.make 0 in
-    let counts =
-      Array.init domains (fun d ->
-          Smem.Unboxed_memory.Padded.make ~name:(string_of_int d) 0)
-    in
-    let workers =
-      List.init domains (fun d ->
-          Domain.spawn (fun () ->
-              let h = hist.(d) in
-              Atomic.incr ready;
-              while not (Atomic.get go) do
-                Domain.cpu_relax ()
-              done;
-              let done_ops = ref 0 in
-              while not (Atomic.get stop) do
-                let c0 = now_ns () in
-                op d !done_ops;
-                let c1 = now_ns () in
-                Obs.Histogram.record h ((c1 - c0) / batch);
-                done_ops := !done_ops + batch
-              done;
-              Smem.Unboxed_memory.Padded.write counts.(d) !done_ops;
-              Atomic.incr acked))
-    in
-    while Atomic.get ready < domains do
-      Domain.cpu_relax ()
-    done;
-    let t0 = now () in
-    Atomic.set go true;
-    sleep seconds;
-    Atomic.set stop true;
-    while Atomic.get acked < domains do
-      Domain.cpu_relax ()
-    done;
-    let t1 = now () in
-    List.iter Domain.join workers;
-    let total =
-      Array.fold_left
-        (fun acc c -> acc + Smem.Unboxed_memory.Padded.read c)
-        0 counts
-    in
-    float_of_int total /. (t1 -. t0)
-  end
+  let clocked d i =
+    let c0 = now_ns () in
+    op d i;
+    Obs.Histogram.record hist.(d) ((now_ns () - c0) / batch)
+  in
+  run_batched ?now ?sleep ~domains ~seconds ~batch ~op:clocked ()

@@ -1,5 +1,5 @@
-(** Domain-parallel throughput measurement, shared by experiment E7 and
-    [bin/bench.exe].  Workers count completed operations in a domain-local
+(** Domain-parallel throughput measurement, shared by [bin/bench.exe],
+    experiment E10b and the repository benchmark.  Workers count completed operations in a domain-local
     [int ref] and publish once after the stop flag flips, through padded
     per-domain slots — the timed loop performs no shared-memory traffic
     beyond the operation under test and the stop-flag read.
@@ -19,11 +19,6 @@ val recommended_domains : ?floor:int -> ?cap:int -> unit -> int
     rule R1 of [bin/lint.exe] confines raw [Domain]/[Atomic] references
     to the memory layer, the observability layer and this harness. *)
 
-val run_mix : domains:int -> seconds:float -> op:(int -> int -> unit) -> float
-(** Spawn [domains] domains, each calling [op d i] (domain index, local
-    iteration counter) in a loop for [seconds]; return operations per
-    measured second summed over domains. *)
-
 val run_batched :
   ?now:(unit -> float) ->
   ?sleep:(float -> unit) ->
@@ -33,11 +28,14 @@ val run_batched :
   op:(int -> int -> unit) ->
   unit ->
   float
-(** Like {!run_mix}, but [op d i] is expected to perform [batch]
+(** Spawn [domains] domains, each calling [op d i] (domain index, local
+    iteration counter) in a loop for [seconds]; return operations per
+    measured second summed over domains.  [op d i] performs [batch]
     operations itself (indices [i .. i + batch - 1]) and the iteration
-    counter advances by [batch] per call.  Amortizes the stop-flag read
-    and loop bookkeeping across the batch, so sub-10ns operations can be
-    measured without the harness dominating.
+    counter advances by [batch] per call, which amortizes the stop-flag
+    read and loop bookkeeping across the batch, so sub-10ns operations
+    can be measured without the harness dominating ([batch = 1] times
+    one operation per call).
 
     When [domains = 1] the loop runs on the {e calling} domain against a
     deadline, with no domains spawned: the OCaml 5 runtime takes a
@@ -71,8 +69,10 @@ val run_batched_latency :
 (** {!run_batched} with per-operation latency recording: worker [d] times
     every batched call with the monotonic clock and records
     [duration / batch] nanoseconds into [hist.(d)] (single-writer; merge
-    after return).  The clock pair adds ~40ns per batched call, so use
-    this as a separate metered pass and take throughput rows from
+    after return).  It is {!run_batched} over a clocking [op], so the
+    window, and at [domains = 1] {!run_alone}'s deadline chunking, are
+    the same.  The clock pair adds ~40ns per batched call, so use this as
+    a separate metered pass and take throughput rows from
     {!run_batched}.  [now]/[sleep] script the *window* clock only (the
     throughput denominator); per-op latencies always come from the
     monotonic clock. *)

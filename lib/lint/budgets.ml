@@ -142,9 +142,6 @@ let default =
           "dial max register ReadMax (unboxed): f <= N block-root loads";
         row [ "Dial_maxreg"; "Unboxed"; "write_max" ] Log
           "dial max register WriteMax (unboxed): O(log(N/f))";
-        row [ "Dial_maxreg"; "Unboxed"; "write_max_metered" ] Log
-          "metered dial WriteMax: instrumentation excluded from the \
-           model";
         (* f-array (Theorem 1's optimal point) *)
         row [ "Farray"; "Make"; "read" ] (Const 1)
           "f-array read: a single read of the root";

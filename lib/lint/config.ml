@@ -104,8 +104,6 @@ let default =
         { qual = [ "Dial_counter"; "Unboxed"; "read" ]; mode = Body };
         { qual = [ "Dial_maxreg"; "Unboxed"; "read_max" ]; mode = Body };
         { qual = [ "Dial_maxreg"; "Unboxed"; "write_max" ]; mode = Body };
-        { qual = [ "Dial_maxreg"; "Unboxed"; "write_max_metered" ];
-          mode = Body };
         { qual = [ "Propagate"; "Unboxed"; "child_value" ]; mode = Body };
         { qual = [ "Propagate"; "Unboxed"; "refresh" ]; mode = Body };
         { qual = [ "Propagate"; "Unboxed"; "propagate" ]; mode = Body };
@@ -133,4 +131,4 @@ let default =
        signature-only modules (nothing to hide) and executable entry
        modules living next to library code. *)
     r4_dirs = [ "lib"; "bench" ];
-    r4_allow = [ "lib/smem/memory_intf.ml"; "bench/main.ml" ] }
+    r4_allow = [ "lib/smem/memory_intf.ml" ] }

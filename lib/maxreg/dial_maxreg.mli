@@ -24,10 +24,4 @@ end
 
 module Make (M : Smem.Memory_intf.MEMORY) : S
 
-module Unboxed : sig
-  include S
-
-  val write_max_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
-  (** [write_max] with refresh rounds and CAS outcomes recorded under
-      shard [pid]; free with {!Obs.Metrics.disabled}. *)
-end
+module Unboxed : S

@@ -113,9 +113,7 @@ let dial_rows dial =
     row Maxreg "sim" (fun ~n -> of_maxreg (I.maxreg_dial_sim (sim ()) ~n dial));
     row Maxreg "native" (fun ~n ->
         of_maxreg (I.maxreg_dial_over I.native ~n dial));
-    row Maxreg "native_dial" (fun ~n -> of_maxreg (I.maxreg_native_dial ~n dial));
-    row Maxreg "native_dial_metered" (fun ~n ->
-        of_maxreg (I.maxreg_native_dial_metered ~metrics:(metrics ()) ~n dial)) ]
+    row Maxreg "native_dial" (fun ~n -> of_maxreg (I.maxreg_native_dial ~n dial)) ]
 
 (* Rows whose constructor has no instance for the implementation (e.g.
    no unboxed AAC) are left out. *)

@@ -173,10 +173,11 @@ let test_run_batched_measured_window () =
   Alcotest.(check (float 1e-6)) "ops / measured elapsed" counted (rate *. 2.5)
 
 let test_run_batched_latency_alone_window () =
-  (* domains = 1 latency path: same call sites as run_alone but one op
-     per loop iteration.  deadline base 0.0 (-> 1.0), t0 = 0.0, one
-     check at 0.5 (runs the op), exit check at 2.0, t1 = 2.0: exactly
-     one batched call, denominator 2.0 measured seconds. *)
+  (* domains = 1 latency path: [run_batched] over a clocking op, so the
+     call sites and chunking are [run_alone]'s.  deadline base 0.0
+     (-> 1.0), t0 = 0.0, one check at 0.5 (runs one chunk: 1024 / batch
+     = 256 batched calls), exit check at 2.0, t1 = 2.0: 256 calls of 4
+     operations over 2.0 measured seconds. *)
   let now = scripted_clock [| 0.0; 0.0; 0.5; 2.0; 2.0 |] in
   let hist = [| Obs.Histogram.create () |] in
   let calls = ref 0 in
@@ -186,9 +187,10 @@ let test_run_batched_latency_alone_window () =
       ~op:(fun _ _ -> incr calls)
       ()
   in
-  Alcotest.(check int) "one batched call" 1 !calls;
-  Alcotest.(check int) "one latency sample" 1 (Obs.Histogram.count hist.(0));
-  Alcotest.(check (float 1e-9)) "ops / measured elapsed" 2.0 rate
+  Alcotest.(check int) "one chunk of batched calls" 256 !calls;
+  Alcotest.(check int) "one latency sample per call" 256
+    (Obs.Histogram.count hist.(0));
+  Alcotest.(check (float 1e-9)) "ops / measured elapsed" 512. rate
 
 let test_run_batched_latency_measured_window () =
   (* multi-domain latency path: the window clock is scripted (t0, t1 are
@@ -373,6 +375,53 @@ let test_bench_trials_write_fresh_values () =
     true
     (read_max () > before)
 
+(* {1 Dial targets: the dial sweep runs through Bench_native}
+
+   Each dial point is a [Bench_native] target.  At 0% reads on one
+   domain every op is an increment, so [k] batches must read back
+   exactly [k * 64] — the closure increments the counter it reads,
+   through the value cursor, with no lost or extra operation. *)
+let test_dial_cells_count_exactly () =
+  List.iter
+    (fun dial ->
+      let op, read =
+        Benchkit.Bench_native.timed_cell (Benchkit.Bench_native.Dial dial)
+          ~backend:`Unboxed ~n:Benchkit.Bench_native.dial_n ~domains:1
+          ~read_pct:0
+      in
+      let k = 5 in
+      for b = 0 to k - 1 do
+        op 0 (b * 64)
+      done;
+      Alcotest.(check int) (Treeprim.Dial.name dial) (k * 64) (read ()))
+    Treeprim.Dial.all
+
+(* regression: the dial sweep's own trial loop took the upper-middle
+   trial as its median.  Rows now come from [Bench_native]'s sweep,
+   whose median of two trials is their mean. *)
+let test_dial_sweep_median_of_two () =
+  let cfg =
+    Benchkit.Bench_native.config ~quick:true ~dial:true ~max_domains:1
+      ~seconds:0.005 ~trials:2 ~read_shares:[ 50 ] ()
+  in
+  let rows = Benchkit.Bench_native.sweep cfg in
+  let doc = Benchkit.Bench_dial.to_json ~cfg ~steps:[] rows in
+  let rows = Option.get (Option.bind (J.member "rows" doc) J.as_list) in
+  Alcotest.(check int) "one row per dial point"
+    (List.length Treeprim.Dial.all) (List.length rows);
+  List.iter
+    (fun r ->
+      let get k = Option.get (J.member k r) in
+      let mops = Option.get (J.as_float (get "mops")) in
+      let trials = Option.get (J.as_list (get "trial_mops")) in
+      match List.filter_map J.as_float trials with
+      | [ a; b ] ->
+        Alcotest.(check (float 1e-9))
+          (Option.get (J.as_string (get "impl")))
+          ((a +. b) /. 2.) mops
+      | ts -> Alcotest.failf "expected two trials, got %d" (List.length ts))
+    rows
+
 let () =
   Alcotest.run "harness"
     [ ( "counting memory",
@@ -413,4 +462,9 @@ let () =
             test_baseline_v4_and_v5 ] );
       ( "bench stream",
         [ Alcotest.test_case "second trial writes fresh values" `Quick
-            test_bench_trials_write_fresh_values ] ) ]
+            test_bench_trials_write_fresh_values ] );
+      ( "dial targets",
+        [ Alcotest.test_case "k batches at 0% reads count k*64" `Quick
+            test_dial_cells_count_exactly;
+          Alcotest.test_case "median of two trials is their mean" `Quick
+            test_dial_sweep_median_of_two ] ) ]
